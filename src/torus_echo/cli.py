@@ -43,8 +43,8 @@ from .analysis import (
     sweep_purity,
 )
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, build_kernel, purity_curve
-from .dynamics import MapParams, build_propagator, lyapunov_closed_form
-from .echo import PerturbationSpec, averaged_le
+from .dynamics import MapParams, build_propagator
+from .echo import PerturbationSpec, averaged_le, default_echo_t_max
 from .hilbert import coherent_state, make_space
 from .rng import substream
 from .selftest import run_selftest
@@ -159,13 +159,16 @@ def _validate(raw: dict) -> RunConfig:
             raw["N"] = 800
         else:
             raise ConfigError("missing required key 'N'")
-    if raw["N"] <= 0:
-        raise ConfigError(f"key 'N' must be a positive integer, got {raw['N']}")
-    a, b = raw.get("a", 2), raw.get("b", 2)
-    if a <= 0 or b <= 0 or a % 2 or b % 2:
-        raise ConfigError(f"keys 'a'/'b' must be even positive integers, got a={a}, b={b}")
+    try:
+        space = make_space(raw["N"])
+    except ValueError as err:
+        raise ConfigError(f"key 'N': {err}") from None
     if "k" not in raw:
         raw["k"] = 0.01 if (needs_purity or mode == "predict") else 0.0002
+    try:
+        params = MapParams(raw.get("a", 2), raw.get("b", 2), raw["k"])
+    except ValueError as err:
+        raise ConfigError(f"keys 'a'/'b'/'k': {err}") from None
 
     if mode in ECHO_MODES:
         controls = raw.get("sigma_over_hbar", [])
@@ -191,8 +194,7 @@ def _validate(raw: dict) -> RunConfig:
         if not 0.0 <= mw <= 1.0:
             raise ConfigError(f"key 'mixture_weight' must be in [0, 1], got {mw}")
     if raw.get("t_max") is None:
-        lam = lyapunov_closed_form(a, b)
-        raw["t_max"] = int(np.ceil((np.log(raw["N"]) + 2.0) / lam))
+        raw["t_max"] = default_echo_t_max(space, params)
     if raw["t_max"] < 1:
         raise ConfigError(f"key 't_max' must be >= 1, got {raw['t_max']}")
     if raw.get("seed", 1) < 0:
@@ -287,25 +289,19 @@ def run(config: RunConfig) -> int:
             outputs.append(name)
             row_status.append({"control": eps, "status": "ok", "output": name})
 
-    elif config.mode == "le-sweep":
-        rows = sweep_echo(space, params, config.sigma_over_hbar, config.t_max,
-                          config.n_states, config.seed,
-                          transient_skip=config.transient_skip,
-                          floor_factor=config.floor_factor)
-        _write_sweep_csv(out_dir / "sweep.csv", rows)
-        outputs.append("sweep.csv")
-        for row in rows:
-            status = "ok" if row.error is None else f"error: {row.error}"
-            had_error = had_error or row.error is not None
-            row_status.append({"control": row.control, "status": status, "output": "sweep.csv"})
-
-    elif config.mode == "purity-sweep":
-        rows = sweep_purity(space, params, config.model, config.epsilon,
-                            config.t_max, config.seed,
-                            mixture_weight=config.mixture_weight,
-                            image_cutoff=config.image_cutoff,
-                            transient_skip=config.transient_skip,
-                            floor_factor=config.floor_factor)
+    elif config.mode in ("le-sweep", "purity-sweep"):
+        if config.mode == "le-sweep":
+            rows = sweep_echo(space, params, config.sigma_over_hbar, config.t_max,
+                              config.n_states, config.seed,
+                              transient_skip=config.transient_skip,
+                              floor_factor=config.floor_factor)
+        else:
+            rows = sweep_purity(space, params, config.model, config.epsilon,
+                                config.t_max, config.seed,
+                                mixture_weight=config.mixture_weight,
+                                image_cutoff=config.image_cutoff,
+                                transient_skip=config.transient_skip,
+                                floor_factor=config.floor_factor)
         _write_sweep_csv(out_dir / "sweep.csv", rows)
         outputs.append("sweep.csv")
         for row in rows:
@@ -363,10 +359,7 @@ def main(argv=None) -> int:
         if args.out:
             overrides.append(f"out_dir={args.out}")
         config = parse_config(text, overrides=overrides)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,9 +8,9 @@ coefficients:
     chi'(Q,P) = chat(Q,P) * chi(Q,P),
     chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N),
 
-which reduces one channel application to three batched FFT passes,
-O(N^2 log N), instead of the O(N^4) Kraus sum.  The direct sum is kept as a
-small-N test oracle (apply_decoherence_direct).
+which reduces one channel application to length-N DFTs along the cyclic
+diagonals of rho, a multiply and the inverse DFTs, O(N^2 log N).  The O(N^4)
+Kraus sum is kept as a small-N test oracle (apply_decoherence_direct).
 
 Kernel families:
   * gaussian_kernel     - diffusive, weights ~ exp(-r^2 / (2 s^2)), s = N*eps/(2*pi)
@@ -142,7 +142,10 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     The truncated image sum over (2x+1)^2 lattice copies is evaluated exactly
     (to ~1e-12 relative) through the exponential integral representation
     1/lam = int exp(-t*lam) dt, which factorizes the (j,k) double sum into
-    products of one-dimensional truncated theta sums per quadrature node.
+    products of one-dimensional truncated theta sums per quadrature node t_i:
+    raw = theta^T diag(w) theta, one GEMM over the (n_nodes, N) theta sums,
+    w_i = t_weight_i * s * exp(-t_i s^2).  theta is filled node by node; all
+    nodes at once would need an (n_nodes, 2x+1, N) temporary, 450 MB at N=800.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -156,12 +159,12 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     dist_sq = (offs[None, :] - images[:, None]) ** 2      # (2x+1, N)
     lam_max = s * s + 2.0 * dist_sq.max()
     t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
-    raw = np.zeros((N, N))
+    theta = np.empty((t_nodes.size, N))
     with np.errstate(under="ignore"):
-        for t, w in zip(t_nodes, t_weights):
-            theta = np.exp(-t * dist_sq).sum(axis=0)      # truncated 1D theta
-            raw += (w * s * np.exp(-t * s * s)) * np.outer(theta, theta)
-    return _finalize(space, raw, epsilon, "ldm")
+        for i, t in enumerate(t_nodes):
+            theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
+        w = t_weights * s * np.exp(-t_nodes * s * s)
+    return _finalize(space, theta.T @ (w[:, None] * theta), epsilon, "ldm")
 
 
 def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
@@ -240,7 +243,9 @@ def apply_decoherence(rho: np.ndarray, mult: ChordMultiplier) -> np.ndarray:
     N = mult.space.N
     if rho.shape != (N, N):
         raise ValueError(f"density shape {rho.shape} != ({N}, {N})")
-    return chord_to_rho(mult.values * rho_to_chord(rho))
+    chi = rho_to_chord(rho)
+    chi *= mult.values
+    return chord_to_rho(chi)
 
 
 def apply_decoherence_direct(rho: np.ndarray, kernel: DecoherenceKernel) -> np.ndarray:

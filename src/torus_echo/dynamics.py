@@ -135,18 +135,21 @@ def apply_propagator(state: np.ndarray, prop: Propagator, direction: str = "forw
     raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
 
 
-def _apply_to_columns(matrix: np.ndarray, prop: Propagator) -> np.ndarray:
-    """U applied to every column of an N x N matrix (batched FFTs)."""
-    out = sfft.fft(prop.kick_phases[:, None] * matrix, axis=0, norm="ortho", workers=-1)
-    return sfft.ifft(prop.kinetic_phases[:, None] * out, axis=0, norm="ortho", workers=-1)
-
-
 def apply_to_density(rho: np.ndarray, prop: Propagator) -> np.ndarray:
-    """Unitary conjugation U rho U^dag, O(N^2 log N)."""
+    """U rho U^dag = ifft2((K x K*) . fft2((D x D*) . rho)), O(N^2 log N), with
+    unitary DFTs, D and K the kick and kinetic phases and x the outer product.
+    In F^dag K F D rho D^dag F^dag K^dag F the DFTs acting from the right map
+    the column index p like F and F^dag from the left followed by p -> -p;
+    K(-p) = K(p) for even b, so the two reversals cancel."""
     if rho.shape != (prop.space.N, prop.space.N):
         raise ValueError(f"density shape {rho.shape} != ({prop.space.N}, {prop.space.N})")
-    half = _apply_to_columns(rho, prop)
-    return _apply_to_columns(half.conj().T, prop).conj().T
+    kick, kinetic = prop.kick_phases, prop.kinetic_phases
+    out = kick[:, None] * rho
+    out *= kick.conj()
+    out = sfft.fft2(out, norm="ortho", workers=-1, overwrite_x=True)
+    out *= kinetic[:, None]
+    out *= kinetic.conj()
+    return sfft.ifft2(out, norm="ortho", workers=-1, overwrite_x=True)
 
 
 def propagator_matrix(prop: Propagator) -> np.ndarray:

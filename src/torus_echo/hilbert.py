@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
+from numpy.lib.stride_tricks import as_strided
 
 COHERENT_IMAGE_RANGE = 3  # lattice images; enough for double precision at N >= 16
 
@@ -95,37 +96,45 @@ def translation_matrix(space: SpaceDescriptor, q: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _chord_frames(N: int):
-    """Cached index/phase arrays for the chord transform at dimension N."""
-    j = np.arange(N)
-    idx = (j[:, None] + j[None, :]) % N            # idx[Q, j] = (Q + j) mod N
-    half_phase = np.exp(-1j * np.pi * np.outer(j, j) / N)
-    idx.setflags(write=False)
+def _chord_phase(N: int) -> np.ndarray:
+    """Cached half phases exp(-i*pi*Q*P/N) of the chord transform."""
+    half_phase = np.exp(-1j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
     half_phase.setflags(write=False)
-    return idx, half_phase
+    return half_phase
 
 
 def rho_to_chord(rho: np.ndarray) -> np.ndarray:
     """Chord coefficients chi(Q, P) = trace(T(Q,P)^dag rho).
 
-    Computed with one length-N DFT per cyclic off-diagonal, O(N^2 log N).
+    Computed with one length-N DFT per cyclic off-diagonal, O(N^2 log N);
+    d[Q, j] = rho[(Q + j) % N, j] is a strided view of rho doubled by rows.
     """
     N = rho.shape[0]
-    idx, half_phase = _chord_frames(N)
-    diagonals = rho[idx, np.arange(N)[None, :]]    # diagonals[Q, j] = rho[(Q+j)%N, j]
-    return half_phase * sfft.fft(diagonals, axis=1, workers=-1)
+    if rho.shape != (N, N):  # the strided view would read past the buffer
+        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    doubled = np.concatenate((rho, rho))
+    s0, s1 = doubled.strides
+    chi = sfft.fft(as_strided(doubled, (N, N), (s0, s0 + s1)), axis=1, workers=-1)
+    chi *= _chord_phase(N)
+    return chi
 
 
 def chord_to_rho(chi: np.ndarray) -> np.ndarray:
-    """Inverse of rho_to_chord: rho = (1/N) sum chi(Q,P) T(Q,P)."""
+    """Inverse of rho_to_chord: rho = (1/N) sum chi(Q,P) T(Q,P), where
+    rho[r, j] = d[(r - j) % N, j] is a strided view of the diagonals d doubled
+    by rows."""
     N = chi.shape[0]
-    idx, half_phase = _chord_frames(N)
-    diagonals = sfft.ifft(chi * half_phase.conj(), axis=1, workers=-1)
-    rho = np.empty((N, N), dtype=np.complex128)
-    rho[idx, np.arange(N)[None, :]] = diagonals
-    return rho
+    if chi.shape != (N, N):
+        raise ValueError(f"expected a square matrix, got shape {chi.shape}")
+    doubled = np.empty((2 * N, N), dtype=np.complex128)  # filled in place: lower peak RSS
+    np.conjugate(_chord_phase(N), out=doubled[:N])
+    doubled[:N] *= chi
+    doubled[N:] = sfft.ifft(doubled[:N], axis=1, workers=-1, overwrite_x=True)
+    doubled[:N] = doubled[N:]
+    s0, s1 = doubled.strides
+    return as_strided(doubled[N:], (N, N), (s0, s1 - s0)).copy()
 
 
 def purity(rho: np.ndarray) -> float:
     """trace(rho^2) for Hermitian rho; equals squared Frobenius norm."""
-    return float(np.sum(np.abs(rho) ** 2))
+    return float(np.vdot(rho.ravel(), rho.ravel()).real)

@@ -18,6 +18,7 @@ from .decoherence import (
 from .dynamics import (
     MapParams,
     apply_propagator,
+    apply_to_density,
     build_propagator,
     lyapunov_closed_form,
     lyapunov_numeric,
@@ -90,6 +91,18 @@ def check_propagator_matrix(N=8):
     cols = np.column_stack([apply_propagator(eye[:, i], prop) for i in range(N)])
     worst = max(float(np.max(np.abs(cols - U))), worst_unitary)
     return worst, 1e-10
+
+
+def check_density_conjugation(seed=10):
+    """apply_to_density against dense U rho U^dag at odd and even N, a != b,
+    k > 0 and non-Hermitian rho; pins the fft2 identity, which needs even b."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for N in (7, 8):
+        prop = build_propagator(make_space(N), MapParams(2, 4, 0.13))
+        U, rho = propagator_matrix(prop), rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        worst = max(worst, float(np.max(np.abs(apply_to_density(rho, prop) - U @ rho @ U.conj().T))))
+    return worst, 1e-12
 
 
 def random_symmetric_kernel(N, seed):
@@ -179,6 +192,7 @@ ALL_CHECKS = [
     ("chord-vs-traces", check_chord_against_traces),
     ("parseval-purity", check_parseval_purity),
     ("propagator-vs-matrix", check_propagator_matrix),
+    ("density-conjugation", check_density_conjugation),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
     ("chord-vs-kraus-sum", check_kraus_equivalence),
     ("depolarizing-closed-form", check_depolarizing_closed_form),

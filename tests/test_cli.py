@@ -84,6 +84,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'N'"):
             parse_config("mode = le-curve\nN = lots\nsigma_over_hbar = 1.0")
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ConfigError, match="'k'"):
+            parse_config(MINIMAL_LE + "\nk = -0.1")
+
     def test_nonpositive_n(self):
         with pytest.raises(ConfigError, match="'N'"):
             parse_config("mode = le-curve\nN = -4\nsigma_over_hbar = 1.0")
@@ -182,6 +186,13 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         path = _write(tmp_path, "mode = le-curve\nN = 64\nsigma_over_hbar = 1.0\na = 3")
         assert main(["le-curve", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_n_beyond_space_limit_fails_before_output(self, tmp_path):
+        dest = tmp_path / "out"
+        text = ("mode = purity-sweep\nN = 67108866\nmodel = gdm\nepsilon = 0.1\n"
+                f"t_max = 5\nmemory_cap_gib = 1e30\nout_dir = {dest}")
+        assert main(["purity-sweep", "--config", str(_write(tmp_path, text))]) == EXIT_CONFIG
+        assert not dest.exists()
 
     def test_missing_config_file(self):
         assert main(["le-curve", "--config", "/nonexistent/conf"]) == EXIT_CONFIG

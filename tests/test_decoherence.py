@@ -107,6 +107,16 @@ class TestLorentzKernel:
         direct = lorentz_kernel_direct(space, 0.6, image_cutoff=25).weights
         assert np.max(np.abs(fast - direct) / direct) < 1e-9
 
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("s", [0.02, 0.2, 2.0])
+    def test_matches_direct_image_sum_small_width(self, N, s):
+        # s = eps N / 2pi from far below one grid cell (nearly all weight at the origin) to two
+        space = make_space(N)
+        eps = 2 * np.pi * s / N
+        fast = lorentz_kernel(space, eps, image_cutoff=30).weights
+        direct = lorentz_kernel_direct(space, eps, image_cutoff=30).weights
+        assert np.max(np.abs(fast - direct) / direct) < 1e-12
+
     @pytest.mark.slow
     def test_inverse_square_tail(self):
         # mid-range ratio c(r,0)/c(2r,0) ~ 4 at N=800, s=1, r=20
@@ -226,6 +236,13 @@ class TestApplyDecoherence:
             direct = apply_decoherence_direct(rho, kernel)
             assert np.max(np.abs(fast - direct)) < 1e-10
 
+    @pytest.mark.parametrize("N", [5, 7, 9, 16])
+    def test_matches_kraus_sum_random_kernel(self, N, rng):
+        kernel = random_symmetric_kernel(N, seed=N)
+        rho = random_density(N, rng)
+        fast = apply_decoherence(rho, chord_multiplier(kernel))
+        assert np.max(np.abs(fast - apply_decoherence_direct(rho, kernel))) < 1e-12
+
     def test_trace_preserved(self, rng):
         N = 32
         rho = random_density(N, rng)
@@ -295,6 +312,20 @@ class TestPurityCurve:
             out = apply_decoherence(apply_to_density(eye, self.prop), mult)
             assert np.max(np.abs(out - eye)) < 1e-12
         assert purity(eye) == pytest.approx(1.0 / N, abs=1e-14)
+
+    def test_depolarizing_closed_form_at_n800(self):
+        # D(rho) = (1-w) rho + w I/N is affine, so whatever U does,
+        # P' = (1-w)^2 P + (1 - (1-w)^2)/N with w = eps N^2/(N^2-1)
+        N, eps = 800, 0.05
+        space = make_space(N)
+        prop = build_propagator(space, self.params)
+        curve = purity_curve(coherent_state(space, 0.31, 0.47), prop,
+                             depolarizing_kernel(space, eps), 6)
+        shrink = (1.0 - eps * N * N / (N * N - 1.0)) ** 2
+        expected = [curve.values[0]]
+        for _ in range(6):
+            expected.append(shrink * expected[-1] + (1.0 - shrink) / N)
+        assert np.max(np.abs(curve.values - expected) / expected) < 1e-12
 
     def test_dimension_checks(self):
         other = coherent_state(make_space(32), 0.1, 0.1)

@@ -176,6 +176,22 @@ class TestChord:
                 direct = np.trace(translation_matrix(space, Q, P).conj().T @ rho)
                 assert abs(chi[Q, P] - direct) < 1e-10
 
+    def test_transposed_view_input(self, rng):
+        rho = random_density(9, rng)
+        assert np.array_equal(rho_to_chord(rho.T), rho_to_chord(np.ascontiguousarray(rho.T)))
+
+    @pytest.mark.parametrize("N", [7, 16])
+    def test_round_trip_fortran_order(self, N, rng):
+        rho = np.asfortranarray(random_density(N, rng))
+        assert np.max(np.abs(chord_to_rho(rho_to_chord(rho)) - rho)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 6), (6, 8), (8,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            rho_to_chord(np.zeros(shape, complex))
+        with pytest.raises(ValueError, match="square"):
+            chord_to_rho(np.zeros(shape, complex))
+
     def test_chi00_is_trace(self, rng):
         rho = random_density(12, rng)
         assert rho_to_chord(rho)[0, 0] == pytest.approx(np.trace(rho), abs=1e-12)
