@@ -1,4 +1,5 @@
-"""Decoherence channels as translation-weighted Kraus superoperators.
+"""Decoherence channels as translation-weighted Kraus superoperators, and
+the purity evolution rho' = D(U rho U^dag) under them.
 
 A channel is D(rho) = sum_{q,p} c(q,p) T(q,p) rho T(q,p)^dag with c >= 0 and
 unit sum, so D is completely positive, trace preserving and unital.  Because
@@ -6,11 +7,18 @@ the translations form a projective Weyl pair, D acts diagonally on the chord
 coefficients:
 
     chi'(Q,P) = chat(Q,P) * chi(Q,P),
-    chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N),
+    chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N).
 
-which reduces one channel application to length-N DFTs along the cyclic
-diagonals of rho, a multiply and the inverse DFTs, O(N^2 log N).  The O(N^4)
-Kraus sum is kept as a small-N test oracle (apply_decoherence_direct).
+The chord coefficients are length-N DFTs along the cyclic diagonals
+d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  purity_curve
+keeps rho in that layout for the whole run.  The kick half of U is an
+elementwise phase there, and the kinetic half, a quantized linear shear,
+permutes the chord coefficients, (Q, P) -> (Q + b*P, P) up to a phase
+(Hannay & Berry, Physica D 1, 267 (1980)).  So one step D(U rho U^dag) is
+one forward and one inverse FFT pass over the diagonals, O(N^2 log N), for
+every kernel family.  apply_to_density followed by apply_decoherence does the
+same step one operation at a time and is its oracle; the O(N^4) Kraus sum
+(apply_decoherence_direct) is the small-N oracle of the channel.
 
 Kernel families:
   * gaussian_kernel     - diffusive, weights ~ exp(-r^2 / (2 s^2)), s = N*eps/(2*pi)
@@ -28,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .dynamics import Propagator, apply_to_density
+from .dynamics import Propagator
 from .hilbert import (
     SpaceDescriptor,
+    _cyclic_diagonals,
     chord_to_rho,
     purity,
     rho_to_chord,
@@ -264,9 +273,51 @@ def apply_decoherence_direct(rho: np.ndarray, kernel: DecoherenceKernel) -> np.n
     return out
 
 
+def _diagonal_step(prop: Propagator, mult: ChordMultiplier):
+    """step(d) -> d' for one rho' = D(U rho U^dag) on the cyclic diagonals
+    d[Q, j] = rho[(Q + j) % N, j]; see purity_curve.  step overwrites d."""
+    N, b = prop.space.N, prop.params.b
+    Q, P = np.ogrid[:N, :N]
+    gather = (Q - b * P) % N * N + P   # flat index of c[(Q - b*P) % N, P]
+    weights = mult.values * prop.kinetic_phases.conj()
+    kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases), prop.kick_phases.conj()
+
+    def step(d):
+        d *= kick_rows
+        d *= kick_cols
+        c = sfft.fft(d, axis=1, workers=-1, overwrite_x=True).take(gather)
+        c *= weights
+        return sfft.ifft(c, axis=1, workers=-1, overwrite_x=True)
+
+    return step
+
+
 def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
                  t_max: int) -> PurityCurve:
-    """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state."""
+    """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
+
+    rho is held as its cyclic diagonals d[Q, j] = rho[(Q + j) % N, j], which
+    start as psi0[(Q + j) % N] * conj(psi0[j]).  d permutes the entries of
+    rho, so purity(d) = trace(rho^2).  One step, with K the kinetic phases,
+    chat the chord multiplier and c[Q, P] = exp(i*pi*Q*P/N) * chi(Q, P):
+
+      1. d[Q, j] *= kick[(Q + j) % N] * conj(kick[j])        (D rho D^dag)
+      2. c = fft(d, axis=1)
+      3. c'[Q, P] = chat[Q, P] * conj(K[P]) * c[(Q - b*P) % N, P]
+      4. d = ifft(c', axis=1)
+
+    Step 3 is the kinetic conjugation followed by the channel.  With F the
+    unitary DFT (momentum = F position), rhot = F rho F^dag has entries
+    rhot[k, k - P] = (1/N) sum_Q exp(-2*pi*i*k*Q/N) c[Q, P], and the kinetic
+    conjugation multiplies them by K[k] conj(K[k - P]), where
+    K[k] = exp(-i*pi*b*k^2/N).  That product is
+    exp(-2*pi*i*k*(b*P)/N) conj(K[P]): the first factor shifts the sum over
+    Q by b*P and the second does not depend on k, so the kinetic step maps c
+    to conj(K[P]) c[(Q - b*P) % N, P], and the channel then multiplies by
+    chat (the half phase relating c and chi cancels).  Reading k - P mod N
+    needs K to be N-periodic, K(k + N) = K(k) exp(-i*pi*b*(2k + N)); that
+    holds for even b at every N, odd N included.
+    """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     N = prop.space.N
@@ -274,14 +325,14 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
         raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {N}")
     if kernel.space.N != N:
         raise ValueError(f"kernel dimension {kernel.space.N} != space dimension {N}")
-    mult = chord_multiplier(kernel)
-    rho = np.outer(psi0, psi0.conj())
+    step = _diagonal_step(prop, chord_multiplier(kernel))
+    psi = np.asarray(psi0, dtype=np.complex128)
+    d = _cyclic_diagonals(psi) * psi.conj()
     values = np.empty(t_max + 1)
-    values[0] = purity(rho)
+    values[0] = purity(d)
     for t in range(1, t_max + 1):
-        rho = apply_to_density(rho, prop)
-        rho = apply_decoherence(rho, mult)
-        values[t] = purity(rho)
+        d = step(d)
+        values[t] = purity(d)
     meta = {"N": N, "a": prop.params.a, "b": prop.params.b, "k": prop.params.k,
             "epsilon": kernel.epsilon, "model_tag": kernel.model_tag}
     return PurityCurve(times=np.arange(t_max + 1), values=values, meta=meta)

@@ -106,16 +106,25 @@ def lyapunov_numeric(params: MapParams, n_iter: int = 100_000, seed: int = 0) ->
     return total / n_iter
 
 
+def _reduced_quadratic_angle(N: int, c: int) -> np.ndarray:
+    """pi*c*j^2/N mod 2*pi for integer c, as pi*((c*j^2) mod 2N)/N with the
+    reduction done in integers: exact to rounding at every N, where the
+    unreduced float argument (~pi*c*N rad) would carry ~N*1e-16 of error.
+    (c mod 2N) * (j^2 mod 2N) < 2^54 for N <= 2^26, so int64 cannot wrap."""
+    j = np.arange(N, dtype=np.int64)
+    return np.pi * ((c % (2 * N)) * (j * j % (2 * N)) % (2 * N)) / N
+
+
 def build_propagator(space: SpaceDescriptor, params: MapParams) -> Propagator:
-    """Diagonal phases of one quantum iteration on the N-point grid."""
+    """Diagonal phases of one quantum iteration on the N-point grid.  The
+    quadratic parts of 2*pi*N*V and 2*pi*N*T are reduced mod 2*pi exactly,
+    so K(j) = K(N - j) holds bitwise."""
     N = space.N
     grid = np.arange(N, dtype=float) / N
-    V = (-params.a * grid**2 / 2.0
-         - params.k * np.sin(2 * np.pi * grid)
-         + 0.5 * params.k * np.sin(4 * np.pi * grid))
-    T = -params.b * grid**2 / 2.0
-    kick = np.exp(-2j * np.pi * N * V)
-    kinetic = np.exp(2j * np.pi * N * T)
+    shear = 2.0 * np.pi * N * params.k * (np.sin(2 * np.pi * grid)
+                                          - 0.5 * np.sin(4 * np.pi * grid))
+    kick = np.exp(1j * (_reduced_quadratic_angle(N, params.a) + shear))
+    kinetic = np.exp(-1j * _reduced_quadratic_angle(N, params.b))
     kick.setflags(write=False)
     kinetic.setflags(write=False)
     return Propagator(space=space, params=params, kick_phases=kick, kinetic_phases=kinetic)

@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MapParams, apply_propagator, build_propagator, lyapunov_closed_form
+from .dynamics import (MapParams, Propagator, apply_propagator, build_propagator,
+                       lyapunov_closed_form)
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
@@ -45,20 +46,22 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
     return int(np.ceil((np.log(space.N) + 2.0) / lam))
 
 
-def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
-             pert: PerturbationSpec, t_max: int) -> EchoCurve:
-    """Echo of a single initial state under the (k, k') propagator pair.
-
-    Both branches advance one application per step; cost O(t_max * N log N).
-    """
+def _propagator_pair(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpec,
+                     t_max: int):
+    """Validated (k, k') propagators of one echo run."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if psi0.shape[0] != space.N:
-        raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {space.N}")
     if pert.k != params.k:
         raise ValueError(f"base amplitude mismatch: params.k={params.k}, pert.k={pert.k}")
-    prop = build_propagator(space, MapParams(params.a, params.b, pert.k))
-    prop_pert = build_propagator(space, MapParams(params.a, params.b, pert.k_prime))
+    return (build_propagator(space, MapParams(params.a, params.b, pert.k)),
+            build_propagator(space, MapParams(params.a, params.b, pert.k_prime)))
+
+
+def _echo_values(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
+                 t_max: int) -> np.ndarray:
+    """M(t) for t = 0..t_max; both branches advance one application per step."""
+    if psi0.shape[0] != prop.space.N:
+        raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {prop.space.N}")
     values = np.empty(t_max + 1)
     values[0] = abs(np.vdot(psi0, psi0)) ** 2
     phi = psi0
@@ -67,6 +70,17 @@ def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
         phi = apply_propagator(phi, prop)
         phi_pert = apply_propagator(phi_pert, prop_pert)
         values[t] = abs(np.vdot(phi_pert, phi)) ** 2
+    return values
+
+
+def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
+             pert: PerturbationSpec, t_max: int) -> EchoCurve:
+    """Echo of a single initial state under the (k, k') propagator pair.
+
+    Both branches advance one application per step; cost O(t_max * N log N).
+    """
+    prop, prop_pert = _propagator_pair(space, params, pert, t_max)
+    values = _echo_values(psi0, prop, prop_pert, t_max)
     meta = {"N": space.N, "a": params.a, "b": params.b,
             "k": pert.k, "k_prime": pert.k_prime,
             "sigma_over_hbar": pert.sigma_over_hbar(space)}
@@ -82,14 +96,14 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
 def averaged_le(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpec,
                 t_max: int, n_states: int, seed: int) -> EchoCurve:
     """Mean echo over n_states coherent states; summation in state-index
-    order, so results are bitwise reproducible for fixed (seed, n_states)."""
+    order, so results are bitwise reproducible for fixed (seed, n_states).
+    The propagator pair is built once for all states."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    centers = ensemble_centers(seed, n_states)
+    prop, prop_pert = _propagator_pair(space, params, pert, t_max)
     acc = np.zeros(t_max + 1)
-    for q0, p0 in centers:
-        psi0 = coherent_state(space, q0, p0)
-        acc += le_curve(psi0, space, params, pert, t_max).values
+    for q0, p0 in ensemble_centers(seed, n_states):
+        acc += _echo_values(coherent_state(space, q0, p0), prop, prop_pert, t_max)
     values = acc / n_states
     meta = {"N": space.N, "a": params.a, "b": params.b,
             "k": pert.k, "k_prime": pert.k_prime,

@@ -103,18 +103,26 @@ def _chord_phase(N: int) -> np.ndarray:
     return half_phase
 
 
+def _cyclic_diagonals(x: np.ndarray) -> np.ndarray:
+    """Read-only N x N view d[Q, j] = x[(Q + j) % N, j] over x doubled by
+    rows; a vector x reads as the matrix x[r, j] = x[r]."""
+    N = x.shape[0]
+    doubled = np.concatenate((x, x))
+    s0 = doubled.strides[0]
+    s1 = doubled.strides[1] if x.ndim == 2 else 0
+    return as_strided(doubled, (N, N), (s0, s0 + s1), writeable=False)
+
+
 def rho_to_chord(rho: np.ndarray) -> np.ndarray:
     """Chord coefficients chi(Q, P) = trace(T(Q,P)^dag rho).
 
-    Computed with one length-N DFT per cyclic off-diagonal, O(N^2 log N);
-    d[Q, j] = rho[(Q + j) % N, j] is a strided view of rho doubled by rows.
+    Computed with one length-N DFT per cyclic off-diagonal
+    d[Q, j] = rho[(Q + j) % N, j], O(N^2 log N).
     """
     N = rho.shape[0]
     if rho.shape != (N, N):  # the strided view would read past the buffer
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    doubled = np.concatenate((rho, rho))
-    s0, s1 = doubled.strides
-    chi = sfft.fft(as_strided(doubled, (N, N), (s0, s0 + s1)), axis=1, workers=-1)
+    chi = sfft.fft(_cyclic_diagonals(rho), axis=1, workers=-1)
     chi *= _chord_phase(N)
     return chi
 

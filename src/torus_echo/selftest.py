@@ -6,6 +6,7 @@ import numpy as np
 
 from .analysis import fit_decay_rate
 from .decoherence import (
+    _diagonal_step,
     apply_decoherence,
     apply_decoherence_direct,
     chord_multiplier,
@@ -116,6 +117,29 @@ def random_symmetric_kernel(N, seed):
                              epsilon=0.0, model_tag="identity")
 
 
+def cyclic_diagonals(rho):
+    """d[Q, j] = rho[(Q + j) % N, j], the layout purity_curve evolves."""
+    j = np.arange(rho.shape[0])
+    return rho[(j[:, None] + j) % j.size, j]
+
+
+def check_purity_step(seed=11):
+    """One purity_curve step against apply_decoherence(apply_to_density(rho))
+    at odd and even N, a != b, k > 0, a random symmetric kernel and
+    non-Hermitian rho.  Compares matrices: a wrong shear direction or phase
+    can leave purities unchanged."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for N in (7, 8):
+        prop = build_propagator(make_space(N), MapParams(2, 4, 0.13))
+        mult = chord_multiplier(random_symmetric_kernel(N, seed))
+        rho = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        fused = _diagonal_step(prop, mult)(cyclic_diagonals(rho))
+        expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop), mult))
+        worst = max(worst, float(np.max(np.abs(fused - expected))))
+    return worst, 1e-12
+
+
 def check_multiplier_against_double_sum(N=8, seed=6):
     kernel = random_symmetric_kernel(N, seed)
     chat = chord_multiplier(kernel).values
@@ -194,6 +218,7 @@ ALL_CHECKS = [
     ("propagator-vs-matrix", check_propagator_matrix),
     ("density-conjugation", check_density_conjugation),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
+    ("purity-step-vs-composition", check_purity_step),
     ("chord-vs-kraus-sum", check_kraus_equivalence),
     ("depolarizing-closed-form", check_depolarizing_closed_form),
     ("lorentz-quadrature", check_lorentz_quadrature),

@@ -18,6 +18,7 @@ from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
 from torus_echo.selftest import random_symmetric_kernel
 
+from composition_oracle import assert_matches_composition
 from conftest import random_density
 
 
@@ -333,3 +334,13 @@ class TestPurityCurve:
             purity_curve(other, self.prop, gaussian_kernel(self.space, 0.3), 5)
         with pytest.raises(ValueError):
             purity_curve(self.psi, self.prop, gaussian_kernel(make_space(32), 0.3), 5)
+
+
+class TestDiagonalStep:
+    @pytest.mark.parametrize("tag, eps", [("gdm", 0.5 * 2 * np.pi / 800), ("dc", 0.05),
+                                          ("ldm", 0.0005), ("mixture", 0.02)])
+    def test_matches_composition_at_n800(self, tag, eps):
+        space = make_space(800)
+        prop = build_propagator(space, MapParams(2, 2, 0.01))
+        assert_matches_composition(coherent_state(space, 0.31, 0.47), prop,
+                                   build_kernel(space, tag, eps), 6)

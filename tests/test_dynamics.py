@@ -118,6 +118,27 @@ class TestPropagator:
         psi = random_state(N, rng)
         assert np.max(np.abs(apply_propagator(psi, prop) - U @ psi)) < 1e-10
 
+    @pytest.mark.parametrize("N", [7, 800, 4096, 2**14])
+    def test_kinetic_phases_even_bitwise(self, N):
+        K = build_propagator(make_space(N), MapParams(2, 4, 0.01)).kinetic_phases
+        assert np.array_equal(K, K[(N - np.arange(N)) % N])
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 4), (6, 6)])
+    def test_phases_match_exactly_reduced_quadratics(self, a, b):
+        # exp(-+i*pi*c*j^2/N) from (c*j^2) mod 2N in integers and pi in long
+        # double; the unreduced float argument misses this by ~1e-11 at N=2^14
+        N = 2**14
+        j = np.arange(N, dtype=np.int64)
+        pi = np.arccos(np.longdouble(-1.0))
+
+        def reduced(c, sign):
+            angle = sign * pi * ((c * j * j) % (2 * N)) / N
+            return (np.cos(angle) + 1j * np.sin(angle)).astype(np.complex128)
+
+        prop = build_propagator(make_space(N), MapParams(a, b, 0.0))
+        assert np.max(np.abs(prop.kinetic_phases - reduced(b, -1))) < 1e-15
+        assert np.max(np.abs(prop.kick_phases - reduced(a, +1))) < 1e-15
+
     def test_dimension_mismatch(self, rng):
         prop = build_propagator(make_space(16), MapParams(2, 2, 0.0))
         with pytest.raises(ValueError):

@@ -123,6 +123,27 @@ class TestAveragedLe:
             acc += le_curve(coherent_state(space, q0, p0), space, params, pert, 8).values
         assert np.max(np.abs(avg.values - acc / n)) < 1e-12
 
+    def test_propagator_pair_built_once(self, monkeypatch):
+        import torus_echo.echo as echo
+        keys = []
+
+        def counting_build(space, params):
+            keys.append(params.k)
+            return build(space, params)
+
+        build = echo.build_propagator
+        monkeypatch.setattr(echo, "build_propagator", counting_build)
+        space = make_space(64)
+        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 2.0)
+        averaged_le(space, MapParams(2, 2, 0.0002), pert, 6, n_states=5, seed=3)
+        assert keys == [pert.k, pert.k_prime]
+
+    def test_base_amplitude_mismatch(self):
+        space = make_space(32)
+        with pytest.raises(ValueError):
+            averaged_le(space, MapParams(2, 2, 0.0), PerturbationSpec(0.001, 0.002), 5,
+                        n_states=2, seed=1)
+
     def test_centers_prefix_stable(self):
         # substreams are per-state: first centers unchanged by ensemble growth
         assert np.array_equal(ensemble_centers(11, 3), ensemble_centers(11, 5)[:3])
