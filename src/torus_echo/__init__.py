@@ -13,6 +13,7 @@ from .hilbert import (
     purity,
 )
 from .dynamics import (
+    Curve,
     MapParams,
     Propagator,
     classical_step,
@@ -23,11 +24,10 @@ from .dynamics import (
     apply_to_density,
     propagator_matrix,
 )
-from .echo import PerturbationSpec, EchoCurve, le_curve, averaged_le
+from .echo import PerturbationSpec, le_curve, averaged_le
 from .decoherence import (
     DecoherenceKernel,
     ChordMultiplier,
-    PurityCurve,
     build_kernel,
     identity_kernel,
     gaussian_kernel,
@@ -56,11 +56,11 @@ __all__ = [
     "SpaceDescriptor", "make_space", "coherent_state",
     "dft_position_to_momentum", "dft_momentum_to_position", "translate",
     "rho_to_chord", "chord_to_rho", "purity",
-    "MapParams", "Propagator", "classical_step", "lyapunov_closed_form",
+    "Curve", "MapParams", "Propagator", "classical_step", "lyapunov_closed_form",
     "lyapunov_numeric", "build_propagator", "apply_propagator",
     "apply_to_density", "propagator_matrix",
-    "PerturbationSpec", "EchoCurve", "le_curve", "averaged_le",
-    "DecoherenceKernel", "ChordMultiplier", "PurityCurve",
+    "PerturbationSpec", "le_curve", "averaged_le",
+    "DecoherenceKernel", "ChordMultiplier",
     "build_kernel", "identity_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",
     "mixture_kernel", "chord_multiplier", "apply_decoherence",

@@ -6,7 +6,7 @@ least-squares line through -ln(value) over a window that skips an initial
 transient and stops at the last sample above floor_factor * floor_hint.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,11 +39,13 @@ class RateFit:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: control value, its fit (None on fit failure),
-    an analytic prediction when one applies, and the failure message."""
+    """One sweep point: control value, its fit (None on fit failure), the
+    fitted curve's values, an analytic prediction when one applies, and the
+    failure message."""
 
     control: float
     fit: Optional[RateFit]
+    curve: np.ndarray = field(compare=False)
     prediction: Optional[float] = None
     error: Optional[str] = None
 
@@ -54,7 +56,7 @@ def fit_decay_rate(curve, floor_hint: float,
     """Least-squares slope of -ln(value) vs t over [transient_skip, t2],
     t2 being the last index with value > floor_factor * floor_hint.
 
-    Accepts an EchoCurve/PurityCurve or a bare value sequence indexed by t.
+    Accepts a Curve or a bare value sequence indexed by t.
     Requires at least four window samples; fewer raises FitError (remedy:
     increase N, or decrease epsilon / sigma so the curve decays slower).
     """
@@ -114,12 +116,27 @@ def dc_rate_prediction(epsilon: float) -> float:
     return 2.0 * epsilon
 
 
+def _sweep_rows(space: SpaceDescriptor, controls: Sequence[float], curve_of, prediction_of,
+                transient_skip: int, floor_factor: float) -> list:
+    """One row per control, in input order: the curve, its fit against the
+    1/N floor, and the prediction.  Fit failures are kept on the row."""
+    rows = []
+    for control in controls:
+        values = curve_of(control).values
+        try:
+            fit, error = fit_decay_rate(values, 1.0 / space.N, transient_skip, floor_factor), None
+        except FitError as err:
+            fit, error = None, str(err)
+        rows.append(SweepRow(control=float(control), fit=fit, curve=values,
+                             prediction=prediction_of(control), error=error))
+    return rows
+
+
 def sweep_echo(space: SpaceDescriptor, params: MapParams,
                sigma_over_hbar_list: Sequence[float], t_max: int,
                n_states: int, seed: int,
                transient_skip: int = DEFAULT_TRANSIENT_SKIP,
-               floor_factor: float = DEFAULT_FLOOR_FACTOR,
-               floor_hint: Optional[float] = None) -> list:
+               floor_factor: float = DEFAULT_FLOOR_FACTOR) -> list:
     """Echo decay rate versus rescaled perturbation strength.
 
     For each control value, evolves the (k, k + sigma) pair, averages over
@@ -128,17 +145,13 @@ def sweep_echo(space: SpaceDescriptor, params: MapParams,
     """
     if any(c <= 0 for c in sigma_over_hbar_list):
         raise ValueError("all sigma_over_hbar controls must be > 0")
-    hint = 1.0 / space.N if floor_hint is None else floor_hint
-    rows = []
-    for control in sigma_over_hbar_list:
+
+    def curve_of(control):
         pert = PerturbationSpec.from_sigma_over_hbar(space, params.k, control)
-        curve = averaged_le(space, params, pert, t_max, n_states, seed)
-        try:
-            fit = fit_decay_rate(curve.values, hint, transient_skip, floor_factor)
-            rows.append(SweepRow(control=float(control), fit=fit))
-        except FitError as err:
-            rows.append(SweepRow(control=float(control), fit=None, error=str(err)))
-    return rows
+        return averaged_le(space, params, pert, t_max, n_states, seed)
+
+    return _sweep_rows(space, sigma_over_hbar_list, curve_of, lambda control: None,
+                       transient_skip, floor_factor)
 
 
 def _prediction_for(model_tag: str, epsilon: float, N: int) -> Optional[float]:
@@ -154,8 +167,7 @@ def sweep_purity(space: SpaceDescriptor, params: MapParams, model_tag: str,
                  mixture_weight: float = 0.5,
                  image_cutoff: int = 100,
                  transient_skip: int = DEFAULT_TRANSIENT_SKIP,
-                 floor_factor: float = DEFAULT_FLOOR_FACTOR,
-                 floor_hint: Optional[float] = None) -> list:
+                 floor_factor: float = DEFAULT_FLOOR_FACTOR) -> list:
     """Purity decay rate versus decoherence strength for one channel family.
 
     All rows evolve the same seeded coherent state (no ensemble averaging).
@@ -164,22 +176,17 @@ def sweep_purity(space: SpaceDescriptor, params: MapParams, model_tag: str,
     """
     if any(e <= 0 for e in epsilon_list):
         raise ValueError("all epsilon controls must be > 0")
-    hint = 1.0 / space.N if floor_hint is None else floor_hint
     q0, p0 = substream(seed, 0).random(2)
     psi0 = coherent_state(space, q0, p0)
     prop = build_propagator(space, params)
-    rows = []
-    for eps in epsilon_list:
+
+    def curve_of(eps):
         kernel = build_kernel(space, model_tag, eps, mixture_weight, image_cutoff)
-        curve = purity_curve(psi0, prop, kernel, t_max)
-        prediction = _prediction_for(model_tag, eps, space.N)
-        try:
-            fit = fit_decay_rate(curve.values, hint, transient_skip, floor_factor)
-            rows.append(SweepRow(control=float(eps), fit=fit, prediction=prediction))
-        except FitError as err:
-            rows.append(SweepRow(control=float(eps), fit=None,
-                                 prediction=prediction, error=str(err)))
-    return rows
+        return purity_curve(psi0, prop, kernel, t_max)
+
+    return _sweep_rows(space, epsilon_list, curve_of,
+                       lambda eps: _prediction_for(model_tag, eps, space.N),
+                       transient_skip, floor_factor)
 
 
 def loglog_slope(controls: Sequence[float], gammas: Sequence[float]) -> float:

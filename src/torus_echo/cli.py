@@ -29,9 +29,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -42,11 +42,10 @@ from .analysis import (
     sweep_echo,
     sweep_purity,
 )
-from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, build_kernel, purity_curve
-from .dynamics import MapParams, build_propagator
-from .echo import PerturbationSpec, averaged_le, default_echo_t_max
-from .hilbert import coherent_state, make_space
-from .rng import substream
+from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF
+from .dynamics import MapParams
+from .echo import default_echo_t_max
+from .hilbert import make_space
 from .selftest import run_selftest
 
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict", "selftest")
@@ -89,56 +88,31 @@ class RunConfig:
     memory_cap_gib: float = 8.0
 
 
-_INT_KEYS = ("N", "a", "b", "image_cutoff", "t_max", "n_states", "seed", "transient_skip")
-_FLOAT_KEYS = ("k", "mixture_weight", "floor_factor", "memory_cap_gib")
-_LIST_KEYS = ("sigma_over_hbar", "epsilon")
-_STR_KEYS = ("mode", "model", "out_dir")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS
-
-
-def _parse_scalar(key: str, text: str):
-    text = text.strip()
-    if key in _STR_KEYS:
-        return text
-    if key in _LIST_KEYS:
-        items = [p.strip() for p in text.split(",") if p.strip()]
-        try:
-            return [float(p) for p in items]
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects a comma-separated list of numbers, got {text!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects an integer, got {text!r}")
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}' expects a number, got {text!r}")
+# Each key parses as its RunConfig field's type; Optional[T] parses as T.
+_KEY_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
+_PARSERS = {str: str, int: int, float: float,
+            list: lambda text: [float(p) for p in text.split(",") if p.strip()]}
+_EXPECTED = {int: "an integer", float: "a number", list: "a comma-separated list of numbers"}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
     """Parse and validate a flat key = value document, applying overrides."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    entries = [(f"line {lineno}", line) for lineno, line in enumerate(lines, start=1) if line]
+    entries += [("--set", item) for item in overrides]
     raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, _, value = stripped.partition("=")
+    for where, entry in entries:
+        key, eq, value = entry.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key '{key}' (line {lineno})")
-        raw[key] = _parse_scalar(key, value)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key '{key}' in --set")
-        raw[key] = _parse_scalar(key, value)
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value', got {entry!r}")
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"unknown key '{key}' ({where})")
+        kind, value = _KEY_TYPES[key], value.strip()
+        try:
+            raw[key] = _PARSERS[kind](value)
+        except ValueError:
+            raise ConfigError(f"key '{key}' expects {_EXPECTED[kind]}, got {value!r}") from None
     return _validate(raw)
 
 
@@ -170,20 +144,16 @@ def _validate(raw: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"keys 'a'/'b'/'k': {err}") from None
 
+    controls_key = "sigma_over_hbar" if mode in ECHO_MODES else "epsilon"
+    controls = raw.get(controls_key, [])
+    if not controls:
+        raise ConfigError(f"mode '{mode}' requires a non-empty '{controls_key}' list")
+    if any(c <= 0 for c in controls):
+        raise ConfigError(f"key '{controls_key}' entries must be > 0")
     if mode in ECHO_MODES:
-        controls = raw.get("sigma_over_hbar", [])
-        if not controls:
-            raise ConfigError(f"mode '{mode}' requires a non-empty 'sigma_over_hbar' list")
-        if any(c <= 0 for c in controls):
-            raise ConfigError("key 'sigma_over_hbar' entries must be > 0")
         if raw.get("n_states", 16) < 1:
             raise ConfigError(f"key 'n_states' must be >= 1, got {raw['n_states']}")
-    if needs_purity or mode == "predict":
-        controls = raw.get("epsilon", [])
-        if not controls:
-            raise ConfigError(f"mode '{mode}' requires a non-empty 'epsilon' list")
-        if any(e <= 0 for e in controls):
-            raise ConfigError("key 'epsilon' entries must be > 0")
+    else:
         if "model" not in raw:
             raise ConfigError(f"mode '{mode}' requires key 'model'")
         if raw["model"] not in MODELS:
@@ -239,7 +209,7 @@ def _write_curve_csv(path: Path, values: np.ndarray):
 def _write_sweep_csv(path: Path, rows):
     lines = ["control,gamma,stderr,window_t1,window_t2,n_points,prediction"]
     for row in rows:
-        pred = _fmt(row.prediction) if row.prediction is not None else ""
+        pred = _fmt(row.prediction)
         if row.fit is None:
             lines.append(f"{_fmt(row.control)},,,,,,{pred}")
         else:
@@ -251,8 +221,29 @@ def _write_sweep_csv(path: Path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _sweep(config: RunConfig) -> list:
+    """The rows, curves included, of the configured echo or purity sweep."""
+    space = make_space(config.N)
+    params = MapParams(config.a, config.b, config.k)
+    if config.mode in ECHO_MODES:
+        return sweep_echo(space, params, config.sigma_over_hbar, config.t_max,
+                          config.n_states, config.seed,
+                          transient_skip=config.transient_skip,
+                          floor_factor=config.floor_factor)
+    return sweep_purity(space, params, config.model, config.epsilon,
+                        config.t_max, config.seed,
+                        mixture_weight=config.mixture_weight,
+                        image_cutoff=config.image_cutoff,
+                        transient_skip=config.transient_skip,
+                        floor_factor=config.floor_factor)
+
+
 def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run; returns the process exit code.
+
+    manifest.json is written also when the run raises, and then names the
+    exception under 'error'.
+    """
     if config.mode == "selftest":
         return EXIT_OK if run_selftest(verbose=True) else EXIT_RUNTIME
 
@@ -260,76 +251,47 @@ def run(config: RunConfig) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    space = make_space(config.N)
-    params = MapParams(config.a, config.b, config.k)
     row_status = []
     outputs = []
-    had_error = False
-
-    if config.mode == "le-curve":
-        for i, soh in enumerate(config.sigma_over_hbar):
-            pert = PerturbationSpec.from_sigma_over_hbar(space, config.k, soh)
-            curve = averaged_le(space, params, pert, config.t_max,
-                                config.n_states, config.seed)
-            name = f"curve_le_{i:03d}.csv"
-            _write_curve_csv(out_dir / name, curve.values)
-            outputs.append(name)
-            row_status.append({"control": soh, "status": "ok", "output": name})
-
-    elif config.mode == "purity-curve":
-        q0, p0 = substream(config.seed, 0).random(2)
-        psi0 = coherent_state(space, q0, p0)
-        prop = build_propagator(space, params)
-        for i, eps in enumerate(config.epsilon):
-            kernel = build_kernel(space, config.model, eps,
-                                  config.mixture_weight, config.image_cutoff)
-            curve = purity_curve(psi0, prop, kernel, config.t_max)
-            name = f"curve_purity_{i:03d}.csv"
-            _write_curve_csv(out_dir / name, curve.values)
-            outputs.append(name)
-            row_status.append({"control": eps, "status": "ok", "output": name})
-
-    elif config.mode in ("le-sweep", "purity-sweep"):
-        if config.mode == "le-sweep":
-            rows = sweep_echo(space, params, config.sigma_over_hbar, config.t_max,
-                              config.n_states, config.seed,
-                              transient_skip=config.transient_skip,
-                              floor_factor=config.floor_factor)
+    manifest = {"version": __version__, "config": asdict(config), "duration_seconds": None,
+                "rows": row_status, "outputs": outputs}
+    try:
+        if config.mode == "predict":
+            lines = ["control,prediction"]
+            for eps in config.epsilon:
+                pred = (gdm_rate_prediction(eps, config.N) if config.model == "gdm"
+                        else dc_rate_prediction(eps))
+                lines.append(f"{_fmt(eps)},{_fmt(pred)}")
+            (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
+            outputs.append("predictions.csv")
+            row_status.extend({"control": eps, "status": "ok", "output": "predictions.csv"}
+                              for eps in config.epsilon)
         else:
-            rows = sweep_purity(space, params, config.model, config.epsilon,
-                                config.t_max, config.seed,
-                                mixture_weight=config.mixture_weight,
-                                image_cutoff=config.image_cutoff,
-                                transient_skip=config.transient_skip,
-                                floor_factor=config.floor_factor)
-        _write_sweep_csv(out_dir / "sweep.csv", rows)
-        outputs.append("sweep.csv")
-        for row in rows:
-            status = "ok" if row.error is None else f"error: {row.error}"
-            had_error = had_error or row.error is not None
-            row_status.append({"control": row.control, "status": status, "output": "sweep.csv"})
+            rows = _sweep(config)
+            if config.mode.endswith("-curve"):
+                # a curve mode writes every row's curve, whether or not its fit failed
+                prefix = "le" if config.mode in ECHO_MODES else "purity"
+                for i, row in enumerate(rows):
+                    name = f"curve_{prefix}_{i:03d}.csv"
+                    _write_curve_csv(out_dir / name, row.curve)
+                    outputs.append(name)
+                    row_status.append({"control": row.control, "status": "ok", "output": name})
+            else:
+                _write_sweep_csv(out_dir / "sweep.csv", rows)
+                outputs.append("sweep.csv")
+                for row in rows:
+                    status = "ok" if row.error is None else f"error: {row.error}"
+                    row_status.append({"control": row.control, "status": status,
+                                       "output": "sweep.csv"})
+    except BaseException as err:
+        manifest["error"] = f"{type(err).__name__}: {err}"
+        raise
+    finally:
+        manifest["duration_seconds"] = time.time() - started
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    elif config.mode == "predict":
-        lines = ["control,prediction"]
-        for eps in config.epsilon:
-            pred = (gdm_rate_prediction(eps, config.N) if config.model == "gdm"
-                    else dc_rate_prediction(eps))
-            lines.append(f"{_fmt(eps)},{_fmt(pred)}")
-        (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("predictions.csv")
-        for eps in config.epsilon:
-            row_status.append({"control": eps, "status": "ok", "output": "predictions.csv"})
-
-    manifest = {
-        "version": __version__,
-        "config": asdict(config),
-        "duration_seconds": time.time() - started,
-        "rows": row_status,
-        "outputs": outputs,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    if had_error:
-        failed = [r for r in row_status if r["status"] != "ok"]
+    failed = [r for r in row_status if r["status"] != "ok"]
+    if failed:
         print(f"{len(failed)} row(s) failed:", file=sys.stderr)
         for r in failed:
             print(f"  control={r['control']}: {r['status']}", file=sys.stderr)

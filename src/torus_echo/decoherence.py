@@ -31,12 +31,12 @@ All kernels are periodized with the minimal-image representative of each
 grid point, which keeps c(q,p) = c(-q,-p) exact under truncation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-from .dynamics import Propagator
+from .dynamics import Curve, Propagator
 from .hilbert import (
     SpaceDescriptor,
     _cyclic_diagonals,
@@ -67,15 +67,6 @@ class ChordMultiplier:
 
     space: SpaceDescriptor
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class PurityCurve:
-    """P(t) = trace(rho_t^2) for t = 0..t_max, plus run metadata."""
-
-    times: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _centered_offsets(N: int) -> np.ndarray:
@@ -293,7 +284,7 @@ def _diagonal_step(prop: Propagator, mult: ChordMultiplier):
 
 
 def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
-                 t_max: int) -> PurityCurve:
+                 t_max: int) -> Curve:
     """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
 
     rho is held as its cyclic diagonals d[Q, j] = rho[(Q + j) % N, j], which
@@ -333,6 +324,4 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
     for t in range(1, t_max + 1):
         d = step(d)
         values[t] = purity(d)
-    meta = {"N": N, "a": prop.params.a, "b": prop.params.b, "k": prop.params.k,
-            "epsilon": kernel.epsilon, "model_tag": kernel.model_tag}
-    return PurityCurve(times=np.arange(t_max + 1), values=values, meta=meta)
+    return Curve(values)

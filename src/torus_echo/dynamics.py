@@ -60,6 +60,14 @@ class Propagator:
     kinetic_phases: np.ndarray  # exp(+2*pi*i*N*T(p_j)), momentum basis
 
 
+@dataclass(frozen=True)
+class Curve:
+    """An observable along the map's iterates, values[t] for t = 0..t_max:
+    the echo M(t) or the purity P(t)."""
+
+    values: np.ndarray
+
+
 def classical_step(point, params: MapParams):
     """One iteration of the classical map; point is (q, p) in [0,1)^2."""
     q, p = point

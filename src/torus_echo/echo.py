@@ -1,11 +1,11 @@
 """Loschmidt echo M(t) = |<psi| U_{k'}^{-t} U_k^t |psi>|^2 and ensemble
 averages over uniformly drawn coherent states."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (MapParams, Propagator, apply_propagator, build_propagator,
+from .dynamics import (Curve, MapParams, Propagator, apply_propagator, build_propagator,
                        lyapunov_closed_form)
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
@@ -29,15 +29,6 @@ class PerturbationSpec:
     @staticmethod
     def from_sigma_over_hbar(space: SpaceDescriptor, k: float, sigma_over_hbar: float) -> "PerturbationSpec":
         return PerturbationSpec(k=k, k_prime=k + sigma_over_hbar * space.hbar)
-
-
-@dataclass(frozen=True)
-class EchoCurve:
-    """M(t) for t = 0..t_max, plus the run metadata that produced it."""
-
-    times: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
@@ -74,17 +65,13 @@ def _echo_values(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
 
 
 def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
-             pert: PerturbationSpec, t_max: int) -> EchoCurve:
+             pert: PerturbationSpec, t_max: int) -> Curve:
     """Echo of a single initial state under the (k, k') propagator pair.
 
     Both branches advance one application per step; cost O(t_max * N log N).
     """
     prop, prop_pert = _propagator_pair(space, params, pert, t_max)
-    values = _echo_values(psi0, prop, prop_pert, t_max)
-    meta = {"N": space.N, "a": params.a, "b": params.b,
-            "k": pert.k, "k_prime": pert.k_prime,
-            "sigma_over_hbar": pert.sigma_over_hbar(space)}
-    return EchoCurve(times=np.arange(t_max + 1), values=values, meta=meta)
+    return Curve(_echo_values(psi0, prop, prop_pert, t_max))
 
 
 def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
@@ -94,7 +81,7 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
 
 
 def averaged_le(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpec,
-                t_max: int, n_states: int, seed: int) -> EchoCurve:
+                t_max: int, n_states: int, seed: int) -> Curve:
     """Mean echo over n_states coherent states; summation in state-index
     order, so results are bitwise reproducible for fixed (seed, n_states).
     The propagator pair is built once for all states."""
@@ -104,9 +91,4 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpe
     acc = np.zeros(t_max + 1)
     for q0, p0 in ensemble_centers(seed, n_states):
         acc += _echo_values(coherent_state(space, q0, p0), prop, prop_pert, t_max)
-    values = acc / n_states
-    meta = {"N": space.N, "a": params.a, "b": params.b,
-            "k": pert.k, "k_prime": pert.k_prime,
-            "sigma_over_hbar": pert.sigma_over_hbar(space),
-            "n_states": n_states, "seed": seed}
-    return EchoCurve(times=np.arange(t_max + 1), values=values, meta=meta)
+    return Curve(acc / n_states)

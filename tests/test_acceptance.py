@@ -39,7 +39,6 @@ from torus_echo.dynamics import (
     lyapunov_numeric,
     propagator_matrix,
 )
-from torus_echo.echo import PerturbationSpec, averaged_le
 from torus_echo.hilbert import (
     coherent_state,
     make_space,
@@ -47,7 +46,6 @@ from torus_echo.hilbert import (
     rho_to_chord,
     translate,
 )
-from torus_echo.rng import substream
 
 from conftest import random_density, random_state
 
@@ -194,15 +192,10 @@ def test_criterion_05_echo_overshoot_oscillation():
     last_ok = last.fit is not None and abs(last_gamma - LAMBDA_44) <= 0.25 * LAMBDA_44
 
     # measured diagnosis: every window starts at t=0, where the curves are flat
-    def echo(control, t_max):
-        pert = PerturbationSpec.from_sigma_over_hbar(space, params.k, control)
-        return averaged_le(space, params, pert, t_max, n_states=64, seed=11).values
-
-    flat = max(-np.log(echo(c, 1)[1]) for c in controls)
-    peak_steps = np.diff(-np.log(echo(peak.control, 6)))
-    last_curve = echo(last.control, 16)
-    last_steps = np.diff(-np.log(last_curve))[:6]
-    last_from_2 = fit_decay_rate(last_curve, 1.0 / space.N, transient_skip=2)
+    flat = max(-np.log(r.curve[1]) for r in rows)
+    peak_steps = np.diff(-np.log(peak.curve[:7]))
+    last_steps = np.diff(-np.log(last.curve))[:6]
+    last_from_2 = fit_decay_rate(last.curve, 1.0 / space.N, transient_skip=2)
     for control, steps in ((peak.control, peak_steps), (last.control, last_steps)):
         print(f"    one-step decay rates at Sigma/hbar={control:.3f}: "
               + " ".join(f"{s:.2f}" for s in steps)
@@ -260,13 +253,10 @@ def test_criterion_06_gdm_lyapunov_plateau():
 
     # measured diagnosis: per-step rates r_t = ln P(t-1) - ln P(t) of the
     # first three steps, which are the ones every fit window starts with
-    psi = coherent_state(space, *substream(7, 0).random(2))
-    prop = build_propagator(space, params)
     print("    per-step purity rates / lambda (t=1,2,3) and fit across eps:")
     steps = []
     for eps, row in zip(eps_grid, rows):
-        curve = purity_curve(psi, prop, gaussian_kernel(space, eps), 3)
-        r = np.diff(-np.log(curve.values)) / LAMBDA_22
+        r = np.diff(-np.log(row.curve[:4])) / LAMBDA_22
         steps.append(r)
         fit = (f"Gamma/lambda={row.fit.gamma/LAMBDA_22:.3f} over {row.fit.window}"
                if row.fit else "no fit")

@@ -87,9 +87,8 @@ class TestFitDecayRate:
             fit_decay_rate([1e-6] * 10, floor_hint=1.0, transient_skip=0)
 
     def test_accepts_curve_objects(self):
-        from torus_echo.echo import EchoCurve
-        t = np.arange(20)
-        curve = EchoCurve(times=t, values=np.exp(-0.25 * t))
+        from torus_echo import Curve
+        curve = Curve(values=np.exp(-0.25 * np.arange(20)))
         fit = fit_decay_rate(curve, floor_hint=0.0, transient_skip=0)
         assert fit.gamma == pytest.approx(0.25, abs=1e-9)
 
@@ -147,6 +146,10 @@ class TestSweepEcho:
                 assert r1.fit.gamma == r2.fit.gamma  # bitwise
         # duplicate control values give identical rows
         assert rows1[0].fit.gamma == rows1[2].fit.gamma
+        # rows compare without their curves, which each row keeps in full
+        assert rows1 == rows2
+        assert np.array_equal(rows1[0].curve, rows2[0].curve)
+        assert rows1[0].curve.shape == (41,)
 
     def test_zero_control_rejected(self):
         space = make_space(64)
@@ -161,6 +164,7 @@ class TestSweepEcho:
                           transient_skip=2)
         assert rows[0].fit is None
         assert rows[0].error is not None
+        assert rows[0].curve.shape == (9,) and rows[0].curve[0] == pytest.approx(1.0)
 
 
 class TestSweepPurity:

@@ -1,14 +1,17 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import torus_echo.analysis
 from torus_echo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_RUNTIME,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     run,
@@ -38,8 +41,44 @@ t_max = 10
 seed = 7
 """
 
+# Every RunConfig field: a --set text, the value it parses to, and a text of
+# the wrong type (None for string keys, which take any text).
+SET_VALUES = {
+    "mode": ("purity-curve", "purity-curve", None),
+    "N": ("64", 64, "6.5"),
+    "a": ("4", 4, "two"),
+    "b": ("4", 4, "4.0"),
+    "k": ("0.02", 0.02, "small"),
+    "sigma_over_hbar": ("0.5, 2", [0.5, 2.0], "0.5, big"),
+    "epsilon": ("0.1,0.2", [0.1, 0.2], "x"),
+    "model": ("dc", "dc", None),
+    "mixture_weight": ("0.25", 0.25, "half"),
+    "image_cutoff": ("20", 20, "1e2"),
+    "t_max": ("7", 7, "7.5"),
+    "n_states": ("3", 3, "three"),
+    "seed": ("3", 3, "0x3"),
+    "transient_skip": ("1", 1, "1.0"),
+    "floor_factor": ("2.5", 2.5, "2,5"),
+    "out_dir": ("runs/x", "runs/x", None),
+    "memory_cap_gib": ("2.5", 2.5, "lots"),
+}
+
 
 class TestParseConfig:
+    def test_set_values_cover_every_field(self):
+        assert set(SET_VALUES) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("key", sorted(SET_VALUES))
+    def test_every_field_settable(self, key):
+        text, value, _ = SET_VALUES[key]
+        got = getattr(parse_config(PAPER_PURITY, overrides=[f"{key}={text}"]), key)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("key", sorted(k for k, v in SET_VALUES.items() if v[2] is not None))
+    def test_wrong_type_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"key '{key}' expects"):
+            parse_config(PAPER_PURITY, overrides=[f"{key}={SET_VALUES[key][2]}"])
+
     def test_minimal_le_curve(self):
         cfg = parse_config(MINIMAL_LE)
         assert cfg.mode == "le-curve"
@@ -162,6 +201,19 @@ class TestRun:
                 f"t_max = 5\nout_dir = {tmp_path}")
         code = main(["purity-sweep", "--config", str(_write(tmp_path, text))])
         assert code == EXIT_RESOURCE
+
+    def test_manifest_written_when_run_fails(self, tmp_path, monkeypatch):
+        def failing_curve(*args, **kwargs):
+            raise RuntimeError("purity step failed")
+
+        monkeypatch.setattr(torus_echo.analysis, "purity_curve", failing_curve)
+        dest = tmp_path / "out"
+        code = main(["purity-sweep", "--config", str(_write(tmp_path, PAPER_PURITY)),
+                     "--out", str(dest), "--set", "N=64"])
+        assert code == EXIT_RUNTIME
+        manifest = json.loads((dest / "manifest.json").read_text())
+        assert manifest["error"] == "RuntimeError: purity step failed"
+        assert manifest["outputs"] == [] and manifest["config"]["N"] == 64
 
     def test_predict_mode(self, tmp_path):
         text = f"mode = predict\nN = 800\nmodel = dc\nepsilon = 0.01, 0.3\nout_dir = {tmp_path}"

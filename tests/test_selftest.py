@@ -1,10 +1,12 @@
+import pytest
+
 from torus_echo.selftest import ALL_CHECKS, run_selftest
 
 
-def test_every_check_passes():
-    for name, fn in ALL_CHECKS:
-        err, tol = fn()
-        assert err < tol, f"selftest check {name}: err={err:.3e} >= tol={tol:.0e}"
+@pytest.mark.parametrize("name, fn", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS])
+def test_every_check_passes(name, fn):
+    err, tol = fn()
+    assert err < tol, f"selftest check {name}: err={err:.3e} >= tol={tol:.0e}"
 
 
 def test_runner_reports_success(capsys):
