@@ -5,11 +5,6 @@ from .hilbert import (
     SpaceDescriptor,
     make_space,
     coherent_state,
-    dft_position_to_momentum,
-    dft_momentum_to_position,
-    translate,
-    rho_to_chord,
-    chord_to_rho,
     purity,
 )
 from .dynamics import (
@@ -21,8 +16,6 @@ from .dynamics import (
     lyapunov_numeric,
     build_propagator,
     apply_propagator,
-    apply_to_density,
-    propagator_matrix,
 )
 from .echo import PerturbationSpec, le_curve, averaged_le
 from .decoherence import (
@@ -35,8 +28,6 @@ from .decoherence import (
     lorentz_kernel,
     mixture_kernel,
     chord_multiplier,
-    apply_decoherence,
-    apply_decoherence_direct,
     purity_curve,
 )
 from .analysis import (
@@ -53,18 +44,14 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpaceDescriptor", "make_space", "coherent_state",
-    "dft_position_to_momentum", "dft_momentum_to_position", "translate",
-    "rho_to_chord", "chord_to_rho", "purity",
+    "SpaceDescriptor", "make_space", "coherent_state", "purity",
     "Curve", "MapParams", "Propagator", "classical_step", "lyapunov_closed_form",
     "lyapunov_numeric", "build_propagator", "apply_propagator",
-    "apply_to_density", "propagator_matrix",
     "PerturbationSpec", "le_curve", "averaged_le",
     "DecoherenceKernel", "ChordMultiplier",
     "build_kernel", "identity_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",
-    "mixture_kernel", "chord_multiplier", "apply_decoherence",
-    "apply_decoherence_direct", "purity_curve",
+    "mixture_kernel", "chord_multiplier", "purity_curve",
     "RateFit", "SweepRow", "FitError", "fit_decay_rate",
     "gdm_rate_prediction", "dc_rate_prediction", "sweep_echo", "sweep_purity",
     "__version__",

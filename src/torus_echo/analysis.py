@@ -188,10 +188,3 @@ def sweep_purity(space: SpaceDescriptor, params: MapParams, model_tag: str,
                        lambda eps: _prediction_for(model_tag, eps, space.N),
                        transient_skip, floor_factor)
 
-
-def loglog_slope(controls: Sequence[float], gammas: Sequence[float]) -> float:
-    """Least-squares slope of log(gamma) against log(control)."""
-    x = np.log(np.asarray(controls, dtype=float))
-    y = np.log(np.asarray(gammas, dtype=float))
-    x_c = x - x.mean()
-    return float(np.dot(x_c, y - y.mean()) / np.dot(x_c, x_c))

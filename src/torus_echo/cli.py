@@ -36,12 +36,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    dc_rate_prediction,
-    gdm_rate_prediction,
-    sweep_echo,
-    sweep_purity,
-)
+from .analysis import _prediction_for, sweep_echo, sweep_purity
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF
 from .dynamics import MapParams
 from .echo import default_echo_t_max
@@ -160,6 +155,8 @@ def _validate(raw: dict) -> RunConfig:
             raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {raw['model']!r}")
         if mode == "predict" and raw["model"] not in ("gdm", "dc"):
             raise ConfigError("mode 'predict' supports only models with analytic rates: gdm, dc")
+        if raw["model"] == "dc" and max(controls) > 1.0:
+            raise ConfigError(f"key 'epsilon' entries must be <= 1 for model 'dc', got {max(controls)}")
         mw = raw.get("mixture_weight", 0.5)
         if not 0.0 <= mw <= 1.0:
             raise ConfigError(f"key 'mixture_weight' must be in [0, 1], got {mw}")
@@ -186,7 +183,13 @@ def _fmt(x) -> str:
 
 def _check_memory(config: RunConfig):
     if config.mode in PURITY_MODES:
-        working_set = 12 * 16 * config.N ** 2
+        # The fused purity step's live N x N arrays, in complex128 units of
+        # 16 N^2 bytes: the diagonals d, their FFT and its gathered copy (<= 3),
+        # the step weights chat * conj(K) (1), and at half size the int64
+        # gather index, the real chord multiplier and the kernel weights (1.5).
+        # Peak RSS grows by about 5.2 such units: 68/70, 101/104 and
+        # 253/258 MiB for gdm/ldm at N = 400, 800 and 1600.
+        working_set = 5.5 * 16 * config.N ** 2
     else:
         working_set = 64 * 16 * config.N
     cap = config.memory_cap_gib * 2**30
@@ -259,9 +262,7 @@ def run(config: RunConfig) -> int:
         if config.mode == "predict":
             lines = ["control,prediction"]
             for eps in config.epsilon:
-                pred = (gdm_rate_prediction(eps, config.N) if config.model == "gdm"
-                        else dc_rate_prediction(eps))
-                lines.append(f"{_fmt(eps)},{_fmt(pred)}")
+                lines.append(f"{_fmt(eps)},{_fmt(_prediction_for(config.model, eps, config.N))}")
             (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
             outputs.append("predictions.csv")
             row_status.extend({"control": eps, "status": "ok", "output": "predictions.csv"}

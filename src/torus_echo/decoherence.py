@@ -10,15 +10,17 @@ coefficients:
     chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N).
 
 The chord coefficients are length-N DFTs along the cyclic diagonals
-d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  purity_curve
-keeps rho in that layout for the whole run.  The kick half of U is an
-elementwise phase there, and the kinetic half, a quantized linear shear,
-permutes the chord coefficients, (Q, P) -> (Q + b*P, P) up to a phase
-(Hannay & Berry, Physica D 1, 267 (1980)).  So one step D(U rho U^dag) is
-one forward and one inverse FFT pass over the diagonals, O(N^2 log N), for
-every kernel family.  apply_to_density followed by apply_decoherence does the
-same step one operation at a time and is its oracle; the O(N^4) Kraus sum
-(apply_decoherence_direct) is the small-N oracle of the channel.
+d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  The channel
+is applied by one fused step, in purity_curve, which keeps rho in that
+layout for the whole run.  The kick half of U is an elementwise phase there,
+and the kinetic half, a quantized linear shear, permutes the chord
+coefficients, (Q, P) -> (Q + b*P, P) up to a phase (Hannay & Berry,
+Physica D 1, 267 (1980)).  So one step D(U rho U^dag) is one forward and one
+inverse FFT pass over the diagonals, O(N^2 log N), for every kernel family.
+
+The step's oracle is apply_decoherence(apply_to_density(rho)), the same
+step one plain operation at a time; the selftest module holds the O(N^4)
+Kraus sum that checks apply_decoherence at small N.
 
 Kernel families:
   * gaussian_kernel     - diffusive, weights ~ exp(-r^2 / (2 s^2)), s = N*eps/(2*pi)
@@ -37,14 +39,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .dynamics import Curve, Propagator
-from .hilbert import (
-    SpaceDescriptor,
-    _cyclic_diagonals,
-    chord_to_rho,
-    purity,
-    rho_to_chord,
-    translation_matrix,
-)
+from .hilbert import SpaceDescriptor, _cyclic_diagonals, chord_to_rho, purity, rho_to_chord
 
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
@@ -167,24 +162,6 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     return _finalize(space, theta.T @ (w[:, None] * theta), epsilon, "ldm")
 
 
-def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
-                          image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> DecoherenceKernel:
-    """Literal truncated double image sum; oracle for lorentz_kernel (small N)."""
-    N = space.N
-    if N > 64:
-        raise ValueError(f"direct Lorentz sum limited to N <= 64, got {N}")
-    s = epsilon * N / (2.0 * np.pi)
-    offs = _centered_offsets(N)
-    x = int(image_cutoff)
-    images = N * np.arange(-x, x + 1, dtype=float)
-    u_sq = (offs[None, :] - images[:, None]) ** 2   # (2x+1, N)
-    raw = np.zeros((N, N))
-    for uj in u_sq:
-        for vk in u_sq:
-            raw += s / (s * s + uj[:, None] + vk[None, :])
-    return _finalize(space, raw, epsilon, "ldm")
-
-
 def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,
                  mixture_weight: float = 0.5,
                  image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> DecoherenceKernel:
@@ -199,8 +176,6 @@ def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,
         return mixture_kernel(gaussian_kernel(space, epsilon),
                               lorentz_kernel(space, epsilon, image_cutoff),
                               mixture_weight)
-    if model_tag == "identity":
-        return identity_kernel(space)
     raise ValueError(f"unknown decoherence model {model_tag!r}")
 
 
@@ -239,29 +214,14 @@ def chord_multiplier(kernel: DecoherenceKernel) -> ChordMultiplier:
 
 
 def apply_decoherence(rho: np.ndarray, mult: ChordMultiplier) -> np.ndarray:
-    """Channel application as a diagonal multiply in chord space."""
+    """The channel on one density matrix, as a diagonal multiply in chord
+    space; the oracle of purity_curve's fused step."""
     N = mult.space.N
     if rho.shape != (N, N):
         raise ValueError(f"density shape {rho.shape} != ({N}, {N})")
     chi = rho_to_chord(rho)
     chi *= mult.values
     return chord_to_rho(chi)
-
-
-def apply_decoherence_direct(rho: np.ndarray, kernel: DecoherenceKernel) -> np.ndarray:
-    """O(N^4) Kraus sum, sum c(q,p) T rho T^dag; test oracle for N <= 16."""
-    N = kernel.space.N
-    if N > 16:
-        raise ValueError(f"direct Kraus sum limited to N <= 16, got {N}")
-    out = np.zeros_like(rho, dtype=np.complex128)
-    for q in range(N):
-        for p in range(N):
-            w = kernel.weights[q, p]
-            if w == 0.0:
-                continue
-            T = translation_matrix(kernel.space, q, p)
-            out += w * (T @ rho @ T.conj().T)
-    return out
 
 
 def _diagonal_step(prop: Propagator, mult: ChordMultiplier):

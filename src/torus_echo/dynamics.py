@@ -139,9 +139,10 @@ def build_propagator(space: SpaceDescriptor, params: MapParams) -> Propagator:
 
 
 def apply_propagator(state: np.ndarray, prop: Propagator, direction: str = "forward") -> np.ndarray:
-    """One map iteration (or its adjoint) on a state vector, O(N log N)."""
-    if state.shape[0] != prop.space.N:
-        raise ValueError(f"state dimension {state.shape[0]} != space dimension {prop.space.N}")
+    """One map iteration (or its adjoint) on a state vector, or on each row
+    of a 2-D array of states, O(N log N) per state."""
+    if state.shape[-1] != prop.space.N:
+        raise ValueError(f"state dimension {state.shape[-1]} != space dimension {prop.space.N}")
     if direction == "forward":
         out = sfft.fft(prop.kick_phases * state, norm="ortho")
         return sfft.ifft(prop.kinetic_phases * out, norm="ortho")
@@ -153,26 +154,9 @@ def apply_propagator(state: np.ndarray, prop: Propagator, direction: str = "forw
 
 
 def apply_to_density(rho: np.ndarray, prop: Propagator) -> np.ndarray:
-    """U rho U^dag = ifft2((K x K*) . fft2((D x D*) . rho)), O(N^2 log N), with
-    unitary DFTs, D and K the kick and kinetic phases and x the outer product.
-    In F^dag K F D rho D^dag F^dag K^dag F the DFTs acting from the right map
-    the column index p like F and F^dag from the left followed by p -> -p;
-    K(-p) = K(p) for even b, so the two reversals cancel."""
+    """U rho U^dag, one apply_propagator per side: U acts on the columns of
+    rho (the rows of rho^T), then on the rows of conj(U rho), which gives
+    conj(U rho) U^T = conj(U rho U^dag)."""
     if rho.shape != (prop.space.N, prop.space.N):
         raise ValueError(f"density shape {rho.shape} != ({prop.space.N}, {prop.space.N})")
-    kick, kinetic = prop.kick_phases, prop.kinetic_phases
-    out = kick[:, None] * rho
-    out *= kick.conj()
-    out = sfft.fft2(out, norm="ortho", workers=-1, overwrite_x=True)
-    out *= kinetic[:, None]
-    out *= kinetic.conj()
-    return sfft.ifft2(out, norm="ortho", workers=-1, overwrite_x=True)
-
-
-def propagator_matrix(prop: Propagator) -> np.ndarray:
-    """Dense N x N matrix of the propagator; test oracle for small N."""
-    N = prop.space.N
-    if N > 4096:
-        raise ValueError(f"dense propagator matrix limited to N <= 4096, got {N}")
-    F = sfft.fft(np.eye(N), axis=0, norm="ortho")
-    return F.conj().T @ (prop.kinetic_phases[:, None] * F) @ np.diag(prop.kick_phases)
+    return apply_propagator(apply_propagator(rho.T, prop).T.conj(), prop).conj()

@@ -6,8 +6,8 @@ discrete Fourier transform of the position basis.  States are plain complex
 numpy vectors of length N (unit norm), density matrices are N x N complex
 arrays (Hermitian, unit trace).
 
-Phase-space translations are realized as cyclic shifts plus momentum phases
-with the symmetric (Weyl) phase convention
+The chord coefficients of rho are its components on the phase-space
+translations with the symmetric (Weyl) phase convention
 
     T(q, p) = exp(-i*pi*q*p/N) * V^p * U^q,
 
@@ -17,11 +17,11 @@ phase.  This convention gives the commutation rule
     T(q,p) T(Q,P) T(q,p)^dag = exp(2*pi*i*(p*Q - q*P)/N) T(Q,P),
 
 which is what makes translation-weighted channels diagonal in the chord
-(translation-operator) representation.
+(translation-operator) representation.  The dense T(q, p) is a selftest
+oracle.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -66,41 +66,9 @@ def coherent_state(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def dft_position_to_momentum(state: np.ndarray) -> np.ndarray:
-    """Unitary DFT: amplitude_k = (1/sqrt(N)) sum_j exp(-2*pi*i*j*k/N) psi_j."""
-    return sfft.fft(state, norm="ortho")
-
-
-def dft_momentum_to_position(state: np.ndarray) -> np.ndarray:
-    """Inverse of dft_position_to_momentum."""
-    return sfft.ifft(state, norm="ortho")
-
-
-def translate(state: np.ndarray, q: int, p: int) -> np.ndarray:
-    """Apply the phase-space translation T(q, p); q and p reduce mod N."""
-    N = state.shape[0]
-    q = int(q) % N
-    p = int(p) % N
-    out = np.roll(state, q)  # U^q: position shift by q grid cells
-    if p:
-        out = out * np.exp(2j * np.pi * p * np.arange(N) / N)
-    return out * np.exp(-1j * np.pi * q * p / N)
-
-
-def translation_matrix(space: SpaceDescriptor, q: int, p: int) -> np.ndarray:
-    """Dense N x N matrix of T(q, p); oracle-sized helper for small N."""
-    N = space.N
-    eye = np.eye(N, dtype=np.complex128)
-    cols = [translate(eye[:, i], q, p) for i in range(N)]
-    return np.column_stack(cols)
-
-
-@lru_cache(maxsize=8)
 def _chord_phase(N: int) -> np.ndarray:
-    """Cached half phases exp(-i*pi*Q*P/N) of the chord transform."""
-    half_phase = np.exp(-1j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
-    half_phase.setflags(write=False)
-    return half_phase
+    """Half phases exp(-i*pi*Q*P/N) of the chord transform."""
+    return np.exp(-1j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
 
 
 def _cyclic_diagonals(x: np.ndarray) -> np.ndarray:
@@ -128,19 +96,16 @@ def rho_to_chord(rho: np.ndarray) -> np.ndarray:
 
 
 def chord_to_rho(chi: np.ndarray) -> np.ndarray:
-    """Inverse of rho_to_chord: rho = (1/N) sum chi(Q,P) T(Q,P), where
-    rho[r, j] = d[(r - j) % N, j] is a strided view of the diagonals d doubled
-    by rows."""
+    """Inverse of rho_to_chord: rho = (1/N) sum chi(Q,P) T(Q,P), read back
+    from the diagonals d = ifft(conj(half phase) * chi) as
+    rho[(Q + j) % N, j] = d[Q, j]."""
     N = chi.shape[0]
     if chi.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {chi.shape}")
-    doubled = np.empty((2 * N, N), dtype=np.complex128)  # filled in place: lower peak RSS
-    np.conjugate(_chord_phase(N), out=doubled[:N])
-    doubled[:N] *= chi
-    doubled[N:] = sfft.ifft(doubled[:N], axis=1, workers=-1, overwrite_x=True)
-    doubled[:N] = doubled[N:]
-    s0, s1 = doubled.strides
-    return as_strided(doubled[N:], (N, N), (s0, s1 - s0)).copy()
+    j = np.arange(N)
+    rho = np.empty((N, N), dtype=np.complex128)
+    rho[(j[:, None] + j) % N, j] = sfft.ifft(chi * _chord_phase(N).conj(), axis=1)
+    return rho
 
 
 def purity(rho: np.ndarray) -> float:

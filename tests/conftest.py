@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,14 @@ def random_density(N, rng):
     m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
+
+
+def loglog_slope(controls: Sequence[float], gammas: Sequence[float]) -> float:
+    """Least-squares slope of log(gamma) against log(control)."""
+    x = np.log(np.asarray(controls, dtype=float))
+    y = np.log(np.asarray(gammas, dtype=float))
+    x_c = x - x.mean()
+    return float(np.dot(x_c, y - y.mean()) / np.dot(x_c, x_c))
 
 
 def random_state(N, rng):

@@ -16,14 +16,12 @@ from torus_echo.analysis import (
     dc_rate_prediction,
     fit_decay_rate,
     gdm_rate_prediction,
-    loglog_slope,
     sweep_echo,
     sweep_purity,
 )
 from torus_echo.cli import parse_config, run
 from torus_echo.decoherence import (
     apply_decoherence,
-    apply_decoherence_direct,
     build_kernel,
     chord_multiplier,
     depolarizing_kernel,
@@ -37,17 +35,16 @@ from torus_echo.dynamics import (
     build_propagator,
     lyapunov_closed_form,
     lyapunov_numeric,
-    propagator_matrix,
 )
 from torus_echo.hilbert import (
     coherent_state,
     make_space,
     purity,
     rho_to_chord,
-    translate,
 )
+from torus_echo.selftest import apply_decoherence_direct, propagator_matrix, translate
 
-from conftest import random_density, random_state
+from conftest import loglog_slope, random_density, random_state
 
 LAMBDA_22 = lyapunov_closed_form(2, 2)   # ln(3 + 2 sqrt 2)
 LAMBDA_44 = lyapunov_closed_form(4, 4)   # ln(9 + 4 sqrt 5)

@@ -7,13 +7,14 @@ from torus_echo.analysis import (
     dc_rate_prediction,
     fit_decay_rate,
     gdm_rate_prediction,
-    loglog_slope,
     sweep_echo,
     sweep_purity,
 )
 from torus_echo.decoherence import gaussian_kernel
 from torus_echo.dynamics import MapParams
 from torus_echo.hilbert import make_space
+
+from conftest import loglog_slope
 
 
 class TestFitDecayRate:

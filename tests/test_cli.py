@@ -11,7 +11,9 @@ from torus_echo.cli import (
     EXIT_RESOURCE,
     EXIT_RUNTIME,
     ConfigError,
+    ResourceRefusal,
     RunConfig,
+    _check_memory,
     main,
     parse_config,
     run,
@@ -202,6 +204,12 @@ class TestRun:
         code = main(["purity-sweep", "--config", str(_write(tmp_path, text))])
         assert code == EXIT_RESOURCE
 
+    def test_purity_working_set_admits_n8000_at_default_cap(self):
+        # the fused step peaks near 5.2 complex N x N arrays; N = 10^4 needs ~8.2 GiB
+        _check_memory(RunConfig(mode="purity-sweep", N=8000))
+        with pytest.raises(ResourceRefusal):
+            _check_memory(RunConfig(mode="purity-sweep", N=10_000))
+
     def test_manifest_written_when_run_fails(self, tmp_path, monkeypatch):
         def failing_curve(*args, **kwargs):
             raise RuntimeError("purity step failed")
@@ -244,6 +252,14 @@ class TestMain:
         text = ("mode = purity-sweep\nN = 67108866\nmodel = gdm\nepsilon = 0.1\n"
                 f"t_max = 5\nmemory_cap_gib = 1e30\nout_dir = {dest}")
         assert main(["purity-sweep", "--config", str(_write(tmp_path, text))]) == EXIT_CONFIG
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("mode", ["purity-sweep", "predict"])
+    def test_dc_epsilon_above_one_fails_before_output(self, tmp_path, mode, capsys):
+        dest = tmp_path / "out"
+        text = f"mode = {mode}\nN = 32\nmodel = dc\nepsilon = 0.5, 1.5\nt_max = 5\nout_dir = {dest}"
+        assert main([mode, "--config", str(_write(tmp_path, text))]) == EXIT_CONFIG
+        assert "'epsilon'" in capsys.readouterr().err
         assert not dest.exists()
 
     def test_missing_config_file(self):

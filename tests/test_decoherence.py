@@ -3,20 +3,18 @@ import pytest
 
 from torus_echo.decoherence import (
     apply_decoherence,
-    apply_decoherence_direct,
     build_kernel,
     chord_multiplier,
     depolarizing_kernel,
     gaussian_kernel,
     identity_kernel,
     lorentz_kernel,
-    lorentz_kernel_direct,
     mixture_kernel,
     purity_curve,
 )
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
-from torus_echo.selftest import random_symmetric_kernel
+from torus_echo.selftest import apply_decoherence_direct, lorentz_kernel_direct, random_symmetric_kernel
 
 from composition_oracle import assert_matches_composition
 from conftest import random_density

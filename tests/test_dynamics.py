@@ -9,9 +9,9 @@ from torus_echo.dynamics import (
     classical_step,
     lyapunov_closed_form,
     lyapunov_numeric,
-    propagator_matrix,
 )
 from torus_echo.hilbert import coherent_state, make_space, purity
+from torus_echo.selftest import propagator_matrix
 
 from conftest import random_density, random_state
 

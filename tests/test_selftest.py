@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import torus_echo
 from torus_echo.selftest import ALL_CHECKS, run_selftest
+
+ORACLE_NAMES = ("translate", "translation_matrix", "propagator_matrix",
+                "apply_decoherence_direct", "lorentz_kernel_direct",
+                "dft_position_to_momentum", "dft_momentum_to_position", "loglog_slope")
 
 
 @pytest.mark.parametrize("name, fn", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS])
@@ -13,3 +22,17 @@ def test_runner_reports_success(capsys):
     assert run_selftest(verbose=True) is True
     out = capsys.readouterr().out
     assert out.count("[PASS]") == len(ALL_CHECKS)
+
+
+def test_oracles_stay_out_of_the_runtime_modules():
+    # a fresh interpreter: this process has imported selftest already
+    probe = ("import sys, torus_echo\n"
+             "from torus_echo import analysis, decoherence, dynamics, hilbert\n"
+             "print('torus_echo.selftest' in sys.modules)\n"
+             f"print(sorted(n for n in {ORACLE_NAMES!r} for m in "
+             "(torus_echo, analysis, decoherence, dynamics, hilbert) if hasattr(m, n)))\n")
+    src = os.path.dirname(os.path.dirname(torus_echo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["False", "[]"]
