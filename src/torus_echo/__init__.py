@@ -17,10 +17,8 @@ from .dynamics import (
     build_propagator,
     apply_propagator,
 )
-from .echo import PerturbationSpec, le_curve, averaged_le
+from .echo import le_curve, averaged_le
 from .decoherence import (
-    DecoherenceKernel,
-    ChordMultiplier,
     build_kernel,
     identity_kernel,
     gaussian_kernel,
@@ -47,8 +45,7 @@ __all__ = [
     "SpaceDescriptor", "make_space", "coherent_state", "purity",
     "Curve", "MapParams", "Propagator", "classical_step", "lyapunov_closed_form",
     "lyapunov_numeric", "build_propagator", "apply_propagator",
-    "PerturbationSpec", "le_curve", "averaged_le",
-    "DecoherenceKernel", "ChordMultiplier",
+    "le_curve", "averaged_le",
     "build_kernel", "identity_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",
     "mixture_kernel", "chord_multiplier", "purity_curve",

@@ -11,9 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decoherence import build_kernel, purity_curve
+from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, build_kernel, purity_curve
 from .dynamics import MapParams, build_propagator
-from .echo import PerturbationSpec, averaged_le
+from .echo import averaged_le
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
@@ -145,13 +145,9 @@ def sweep_echo(space: SpaceDescriptor, params: MapParams,
     """
     if any(c <= 0 for c in sigma_over_hbar_list):
         raise ValueError("all sigma_over_hbar controls must be > 0")
-
-    def curve_of(control):
-        pert = PerturbationSpec.from_sigma_over_hbar(space, params.k, control)
-        return averaged_le(space, params, pert, t_max, n_states, seed)
-
-    return _sweep_rows(space, sigma_over_hbar_list, curve_of, lambda control: None,
-                       transient_skip, floor_factor)
+    return _sweep_rows(space, sigma_over_hbar_list,
+                       lambda control: averaged_le(space, params, control, t_max, n_states, seed),
+                       lambda control: None, transient_skip, floor_factor)
 
 
 def _prediction_for(model_tag: str, epsilon: float, N: int) -> Optional[float]:
@@ -165,7 +161,7 @@ def _prediction_for(model_tag: str, epsilon: float, N: int) -> Optional[float]:
 def sweep_purity(space: SpaceDescriptor, params: MapParams, model_tag: str,
                  epsilon_list: Sequence[float], t_max: int, seed: int,
                  mixture_weight: float = 0.5,
-                 image_cutoff: int = 100,
+                 image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF,
                  transient_skip: int = DEFAULT_TRANSIENT_SKIP,
                  floor_factor: float = DEFAULT_FLOOR_FACTOR) -> list:
     """Purity decay rate versus decoherence strength for one channel family.

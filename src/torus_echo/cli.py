@@ -83,11 +83,19 @@ class RunConfig:
     memory_cap_gib: float = 8.0
 
 
+def _finite(text: str) -> float:
+    """float(text) refusing nan and +-inf (1e400 too), which range checks let through."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # Each key parses as its RunConfig field's type; Optional[T] parses as T.
 _KEY_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
-_PARSERS = {str: str, int: int, float: float,
-            list: lambda text: [float(p) for p in text.split(",") if p.strip()]}
-_EXPECTED = {int: "an integer", float: "a number", list: "a comma-separated list of numbers"}
+_PARSERS = {str: str, int: int, float: _finite,
+            list: lambda text: [_finite(p) for p in text.split(",") if p.strip()]}
+_EXPECTED = {int: "an integer", float: "a finite number", list: "a comma-separated list of finite numbers"}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:

@@ -9,6 +9,9 @@ coefficients:
     chi'(Q,P) = chat(Q,P) * chi(Q,P),
     chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N).
 
+A kernel is its read-only, unit-sum (N, N) weight array c[q, p], and the
+channel's action its read-only real (N, N) multiplier array chat[Q, P].
+
 The chord coefficients are length-N DFTs along the cyclic diagonals
 d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  The channel
 is applied by one fused step, in purity_curve, which keeps rho in that
@@ -33,8 +36,6 @@ All kernels are periodized with the minimal-image representative of each
 grid point, which keeps c(q,p) = c(-q,-p) exact under truncation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as sfft
 
@@ -45,46 +46,26 @@ LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DecoherenceKernel:
-    """Probability weights c(q,p) over the N^2 phase-space translations."""
-
-    space: SpaceDescriptor
-    weights: np.ndarray
-    epsilon: float
-    model_tag: str
-
-
-@dataclass(frozen=True)
-class ChordMultiplier:
-    """Diagonal action of a kernel in the chord representation (real by
-    kernel symmetry; chat(0,0) = 1, |chat| <= 1)."""
-
-    space: SpaceDescriptor
-    values: np.ndarray
-
-
 def _centered_offsets(N: int) -> np.ndarray:
     """Minimal-image representative of each grid label: 0..N/2, then negative."""
     q = np.arange(N, dtype=float)
     return np.where(q <= N // 2, q, q - N)
 
 
-def _finalize(space, raw, epsilon, model_tag) -> DecoherenceKernel:
+def _finalize(raw: np.ndarray) -> np.ndarray:
     weights = raw / raw.sum()
     weights.setflags(write=False)
-    return DecoherenceKernel(space=space, weights=weights, epsilon=float(epsilon),
-                             model_tag=model_tag)
+    return weights
 
 
-def identity_kernel(space: SpaceDescriptor) -> DecoherenceKernel:
+def identity_kernel(space: SpaceDescriptor) -> np.ndarray:
     """Point mass on the identity translation; D = id."""
     raw = np.zeros((space.N, space.N))
     raw[0, 0] = 1.0
-    return _finalize(space, raw, 0.0, "identity")
+    return _finalize(raw)
 
 
-def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> DecoherenceKernel:
+def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
     """Gaussian diffusion kernel with width s = N*eps/(2*pi) grid cells,
     periodized until the image tail is below 1e-14."""
     if epsilon <= 0:
@@ -96,10 +77,10 @@ def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> DecoherenceKernel
     axis = np.zeros(N)
     for m in range(-m_max, m_max + 1):
         axis += np.exp(-((offs - N * m) ** 2) / (2.0 * s * s))
-    return _finalize(space, np.outer(axis, axis), epsilon, "gdm")
+    return _finalize(np.outer(axis, axis))
 
 
-def depolarizing_kernel(space: SpaceDescriptor, epsilon: float) -> DecoherenceKernel:
+def depolarizing_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
     """Depolarizing channel: weight 1-eps on the identity, the rest spread
     evenly.  Off-origin weights are eps/(N^2-1), a renormalization of the
     textbook eps/N^2 that makes the channel exactly trace preserving."""
@@ -110,7 +91,7 @@ def depolarizing_kernel(space: SpaceDescriptor, epsilon: float) -> DecoherenceKe
         raise ValueError("depolarizing kernel needs N >= 2")
     raw = np.full((N, N), epsilon / (N * N - 1))
     raw[0, 0] = 1.0 - epsilon
-    return _finalize(space, raw, epsilon, "dc")
+    return _finalize(raw)
 
 
 def _lorentz_quadrature(s: float, lam_max: float):
@@ -131,7 +112,7 @@ def _lorentz_quadrature(s: float, lam_max: float):
 
 
 def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
-                   image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> DecoherenceKernel:
+                   image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Lorentz (heavy-tailed) kernel, c ~ sum_images s/(s^2 + r^2).
 
     The truncated image sum over (2x+1)^2 lattice copies is evaluated exactly
@@ -159,12 +140,12 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
         for i, t in enumerate(t_nodes):
             theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
         w = t_weights * s * np.exp(-t_nodes * s * s)
-    return _finalize(space, theta.T @ (w[:, None] * theta), epsilon, "ldm")
+    return _finalize(theta.T @ (w[:, None] * theta))
 
 
 def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,
                  mixture_weight: float = 0.5,
-                 image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> DecoherenceKernel:
+                 image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Kernel factory keyed by model tag; mixture combines GDM with LDM."""
     if model_tag == "gdm":
         return gaussian_kernel(space, epsilon)
@@ -179,25 +160,24 @@ def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,
     raise ValueError(f"unknown decoherence model {model_tag!r}")
 
 
-def mixture_kernel(k1: DecoherenceKernel, k2: DecoherenceKernel, w: float) -> DecoherenceKernel:
+def mixture_kernel(k1: np.ndarray, k2: np.ndarray, w: float) -> np.ndarray:
     """Convex combination w*k1 + (1-w)*k2 of two kernels on the same space."""
-    if k1.space.N != k2.space.N:
-        raise ValueError(f"space mismatch: N={k1.space.N} vs N={k2.space.N}")
+    if k1.shape != k2.shape:
+        raise ValueError(f"kernel shape mismatch: {k1.shape} vs {k2.shape}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixture weight must be in [0, 1], got {w}")
     if w == 1.0:
         return k1
     if w == 0.0:
         return k2
-    weights = w * k1.weights + (1.0 - w) * k2.weights
+    weights = w * k1 + (1.0 - w) * k2
     weights.setflags(write=False)
-    return DecoherenceKernel(space=k1.space, weights=weights,
-                             epsilon=k1.epsilon, model_tag="mixture")
+    return weights
 
 
-def chord_multiplier(kernel: DecoherenceKernel) -> ChordMultiplier:
-    """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N) via 2D DFT."""
-    c = kernel.weights
+def chord_multiplier(c: np.ndarray) -> np.ndarray:
+    """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N) via 2D DFT, a read-only
+    real (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1)."""
     N = c.shape[0]
     inner = N * sfft.ifft(c, axis=1)          # sum_p c[q,p] e^{+2 pi i p Q / N}
     full = sfft.fft(inner, axis=0)            # sum_q ...  e^{-2 pi i q P / N}
@@ -210,27 +190,26 @@ def chord_multiplier(kernel: DecoherenceKernel) -> ChordMultiplier:
         )
     out = np.ascontiguousarray(values.real)
     out.setflags(write=False)
-    return ChordMultiplier(space=kernel.space, values=out)
+    return out
 
 
-def apply_decoherence(rho: np.ndarray, mult: ChordMultiplier) -> np.ndarray:
-    """The channel on one density matrix, as a diagonal multiply in chord
-    space; the oracle of purity_curve's fused step."""
-    N = mult.space.N
-    if rho.shape != (N, N):
-        raise ValueError(f"density shape {rho.shape} != ({N}, {N})")
+def apply_decoherence(rho: np.ndarray, chat: np.ndarray) -> np.ndarray:
+    """The channel on one density matrix, as a diagonal multiply by the chord
+    multiplier chat; the oracle of purity_curve's fused step."""
+    if rho.shape != chat.shape:
+        raise ValueError(f"density shape {rho.shape} != multiplier shape {chat.shape}")
     chi = rho_to_chord(rho)
-    chi *= mult.values
+    chi *= chat
     return chord_to_rho(chi)
 
 
-def _diagonal_step(prop: Propagator, mult: ChordMultiplier):
+def _diagonal_step(prop: Propagator, chat: np.ndarray):
     """step(d) -> d' for one rho' = D(U rho U^dag) on the cyclic diagonals
     d[Q, j] = rho[(Q + j) % N, j]; see purity_curve.  step overwrites d."""
     N, b = prop.space.N, prop.params.b
     Q, P = np.ogrid[:N, :N]
     gather = (Q - b * P) % N * N + P   # flat index of c[(Q - b*P) % N, P]
-    weights = mult.values * prop.kinetic_phases.conj()
+    weights = chat * prop.kinetic_phases.conj()
     kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases), prop.kick_phases.conj()
 
     def step(d):
@@ -243,7 +222,7 @@ def _diagonal_step(prop: Propagator, mult: ChordMultiplier):
     return step
 
 
-def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
+def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
                  t_max: int) -> Curve:
     """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
 
@@ -274,8 +253,8 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: DecoherenceKernel,
     N = prop.space.N
     if psi0.shape[0] != N:
         raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {N}")
-    if kernel.space.N != N:
-        raise ValueError(f"kernel dimension {kernel.space.N} != space dimension {N}")
+    if kernel.shape != (N, N):
+        raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
     step = _diagonal_step(prop, chord_multiplier(kernel))
     psi = np.asarray(psi0, dtype=np.complex128)
     d = _cyclic_diagonals(psi) * psi.conj()

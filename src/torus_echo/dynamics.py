@@ -138,19 +138,13 @@ def build_propagator(space: SpaceDescriptor, params: MapParams) -> Propagator:
     return Propagator(space=space, params=params, kick_phases=kick, kinetic_phases=kinetic)
 
 
-def apply_propagator(state: np.ndarray, prop: Propagator, direction: str = "forward") -> np.ndarray:
-    """One map iteration (or its adjoint) on a state vector, or on each row
-    of a 2-D array of states, O(N log N) per state."""
+def apply_propagator(state: np.ndarray, prop: Propagator) -> np.ndarray:
+    """One map iteration on a state vector, or on each row of a 2-D array of
+    states, O(N log N) per state."""
     if state.shape[-1] != prop.space.N:
         raise ValueError(f"state dimension {state.shape[-1]} != space dimension {prop.space.N}")
-    if direction == "forward":
-        out = sfft.fft(prop.kick_phases * state, norm="ortho")
-        return sfft.ifft(prop.kinetic_phases * out, norm="ortho")
-    if direction == "adjoint":
-        out = sfft.fft(state, norm="ortho")
-        out = sfft.ifft(prop.kinetic_phases.conj() * out, norm="ortho")
-        return prop.kick_phases.conj() * out
-    raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
+    out = sfft.fft(prop.kick_phases * state, norm="ortho")
+    return sfft.ifft(prop.kinetic_phases * out, norm="ortho")
 
 
 def apply_to_density(rho: np.ndarray, prop: Propagator) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Loschmidt echo M(t) = |<psi| U_{k'}^{-t} U_k^t |psi>|^2 and ensemble
-averages over uniformly drawn coherent states."""
-
-from dataclasses import dataclass
+averages over uniformly drawn coherent states.  The perturbation is its
+rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N)."""
 
 import numpy as np
 
@@ -11,41 +10,20 @@ from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Pair of shear amplitudes (k, k') defining perturbation strength
-    sigma = k' - k; sigma_over_hbar = 2*pi*N*sigma is the rescaled strength."""
-
-    k: float
-    k_prime: float
-
-    @property
-    def sigma(self) -> float:
-        return self.k_prime - self.k
-
-    def sigma_over_hbar(self, space: SpaceDescriptor) -> float:
-        return self.sigma / space.hbar
-
-    @staticmethod
-    def from_sigma_over_hbar(space: SpaceDescriptor, k: float, sigma_over_hbar: float) -> "PerturbationSpec":
-        return PerturbationSpec(k=k, k_prime=k + sigma_over_hbar * space.hbar)
-
-
 def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
     """Steps for a Lyapunov-rate curve to reach saturation: ceil((ln N + 2)/lambda)."""
     lam = lyapunov_closed_form(params.a, params.b)
     return int(np.ceil((np.log(space.N) + 2.0) / lam))
 
 
-def _propagator_pair(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpec,
+def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
                      t_max: int):
-    """Validated (k, k') propagators of one echo run."""
+    """Validated (k, k') propagators of one echo run, k' = k + sigma_over_hbar * hbar."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if pert.k != params.k:
-        raise ValueError(f"base amplitude mismatch: params.k={params.k}, pert.k={pert.k}")
-    return (build_propagator(space, MapParams(params.a, params.b, pert.k)),
-            build_propagator(space, MapParams(params.a, params.b, pert.k_prime)))
+    k_prime = params.k + sigma_over_hbar * space.hbar
+    return (build_propagator(space, params),
+            build_propagator(space, MapParams(params.a, params.b, k_prime)))
 
 
 def _echo_values(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
@@ -65,12 +43,12 @@ def _echo_values(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
 
 
 def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
-             pert: PerturbationSpec, t_max: int) -> Curve:
+             sigma_over_hbar: float, t_max: int) -> Curve:
     """Echo of a single initial state under the (k, k') propagator pair.
 
     Both branches advance one application per step; cost O(t_max * N log N).
     """
-    prop, prop_pert = _propagator_pair(space, params, pert, t_max)
+    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
     return Curve(_echo_values(psi0, prop, prop_pert, t_max))
 
 
@@ -80,14 +58,14 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
     return np.array([substream(seed, i).random(2) for i in range(n_states)])
 
 
-def averaged_le(space: SpaceDescriptor, params: MapParams, pert: PerturbationSpec,
+def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
                 t_max: int, n_states: int, seed: int) -> Curve:
     """Mean echo over n_states coherent states; summation in state-index
     order, so results are bitwise reproducible for fixed (seed, n_states).
     The propagator pair is built once for all states."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    prop, prop_pert = _propagator_pair(space, params, pert, t_max)
+    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
     acc = np.zeros(t_max + 1)
     for q0, p0 in ensemble_centers(seed, n_states):
         acc += _echo_values(coherent_state(space, q0, p0), prop, prop_pert, t_max)

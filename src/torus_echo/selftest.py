@@ -13,7 +13,6 @@ import scipy.fft as sfft
 from .analysis import fit_decay_rate
 from .decoherence import (
     LORENTZ_DEFAULT_IMAGE_CUTOFF,
-    DecoherenceKernel,
     _centered_offsets,
     _diagonal_step,
     _finalize,
@@ -65,7 +64,7 @@ def propagator_matrix(prop: Propagator) -> np.ndarray:
 
 
 def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
-                          image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> DecoherenceKernel:
+                          image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Literal truncated double image sum; oracle for lorentz_kernel (small N)."""
     N = space.N
     if N > 64:
@@ -79,21 +78,22 @@ def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
     for uj in u_sq:
         for vk in u_sq:
             raw += s / (s * s + uj[:, None] + vk[None, :])
-    return _finalize(space, raw, epsilon, "ldm")
+    return _finalize(raw)
 
 
-def apply_decoherence_direct(rho: np.ndarray, kernel: DecoherenceKernel) -> np.ndarray:
+def apply_decoherence_direct(rho: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """O(N^4) Kraus sum, sum c(q,p) T rho T^dag; test oracle for N <= 16."""
-    N = kernel.space.N
+    N = kernel.shape[0]
     if N > 16:
         raise ValueError(f"direct Kraus sum limited to N <= 16, got {N}")
+    space = make_space(N)
     out = np.zeros_like(rho, dtype=np.complex128)
     for q in range(N):
         for p in range(N):
-            w = kernel.weights[q, p]
+            w = kernel[q, p]
             if w == 0.0:
                 continue
-            T = translation_matrix(kernel.space, q, p)
+            T = translation_matrix(space, q, p)
             out += w * (T @ rho @ T.conj().T)
     return out
 
@@ -173,11 +173,9 @@ def check_density_conjugation(seed=10):
 def random_symmetric_kernel(N, seed):
     """Random nonnegative weights with c(q,p) = c(-q,-p) and unit sum."""
     rng = np.random.default_rng(seed)
-    space = make_space(N)
     raw = rng.random((N, N))
     sym = 0.5 * (raw + np.roll(np.roll(raw[::-1, ::-1], 1, axis=0), 1, axis=1))
-    return DecoherenceKernel(space=space, weights=sym / sym.sum(),
-                             epsilon=0.0, model_tag="identity")
+    return sym / sym.sum()
 
 
 def cyclic_diagonals(rho):
@@ -195,22 +193,22 @@ def check_purity_step(seed=11):
     worst = 0.0
     for N in (7, 8):
         prop = build_propagator(make_space(N), MapParams(2, 4, 0.13))
-        mult = chord_multiplier(random_symmetric_kernel(N, seed))
+        chat = chord_multiplier(random_symmetric_kernel(N, seed))
         rho = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        fused = _diagonal_step(prop, mult)(cyclic_diagonals(rho))
-        expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop), mult))
+        fused = _diagonal_step(prop, chat)(cyclic_diagonals(rho))
+        expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop), chat))
         worst = max(worst, float(np.max(np.abs(fused - expected))))
     return worst, 1e-12
 
 
 def check_multiplier_against_double_sum(N=8, seed=6):
     kernel = random_symmetric_kernel(N, seed)
-    chat = chord_multiplier(kernel).values
+    chat = chord_multiplier(kernel)
     worst = 0.0
     for Q in range(N):
         for P in range(N):
             phases = np.exp(2j * np.pi * (np.arange(N)[None, :] * Q - np.arange(N)[:, None] * P) / N)
-            direct = np.sum(kernel.weights * phases)
+            direct = np.sum(kernel * phases)
             worst = max(worst, abs(chat[Q, P] - direct))
     return float(worst), 1e-12
 
@@ -242,8 +240,8 @@ def check_depolarizing_closed_form(N=8, seed=8):
 
 def check_lorentz_quadrature(N=16):
     space = make_space(N)
-    fast = lorentz_kernel(space, 0.7, image_cutoff=40).weights
-    direct = lorentz_kernel_direct(space, 0.7, image_cutoff=40).weights
+    fast = lorentz_kernel(space, 0.7, image_cutoff=40)
+    direct = lorentz_kernel_direct(space, 0.7, image_cutoff=40)
     return float(np.max(np.abs(fast - direct) / direct)), 1e-9
 
 

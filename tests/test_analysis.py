@@ -114,7 +114,7 @@ class TestPredictions:
         # the law is -ln(sum c^2) of the Gaussian kernel, up to O(E^4)
         space = make_space(64)
         eps = s * 2.0 * np.pi / space.N
-        oracle = -np.log(np.sum(gaussian_kernel(space, eps).weights ** 2))
+        oracle = -np.log(np.sum(gaussian_kernel(space, eps) ** 2))
         assert gdm_rate_prediction(eps, space.N) == pytest.approx(oracle, rel=1e-6)
 
     def test_gdm_domain(self):

@@ -81,6 +81,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"key '{key}' expects"):
             parse_config(PAPER_PURITY, overrides=[f"{key}={SET_VALUES[key][2]}"])
 
+    @pytest.mark.parametrize("key, text", [("epsilon", "nan"), ("epsilon", "0.1, inf"),
+                                           ("sigma_over_hbar", "-inf"), ("k", "1e400"),
+                                           ("mixture_weight", "nan"), ("floor_factor", "inf"),
+                                           ("memory_cap_gib", "nan")])
+    def test_non_finite_number_names_key(self, key, text):
+        # nan compares false with every bound, so the range checks cannot catch it
+        with pytest.raises(ConfigError, match=f"key '{key}' expects a.* finite number"):
+            parse_config(PAPER_PURITY, overrides=[f"{key}={text}"])
+
     def test_minimal_le_curve(self):
         cfg = parse_config(MINIMAL_LE)
         assert cfg.mode == "le-curve"
@@ -260,6 +269,17 @@ class TestMain:
         text = f"mode = {mode}\nN = 32\nmodel = dc\nepsilon = 0.5, 1.5\nt_max = 5\nout_dir = {dest}"
         assert main([mode, "--config", str(_write(tmp_path, text))]) == EXIT_CONFIG
         assert "'epsilon'" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("mode, line", [("purity-sweep", "epsilon = nan"),
+                                            ("le-sweep", "sigma_over_hbar = inf"),
+                                            ("purity-sweep", "memory_cap_gib = nan")])
+    def test_non_finite_number_fails_before_output(self, tmp_path, mode, line, capsys):
+        dest = tmp_path / "out"
+        text = (f"mode = {mode}\nN = 32\nmodel = gdm\nepsilon = 0.1\nsigma_over_hbar = 1\n"
+                f"t_max = 5\nout_dir = {dest}\n{line}")
+        assert main([mode, "--config", str(_write(tmp_path, text))]) == EXIT_CONFIG
+        assert f"'{line.split()[0]}'" in capsys.readouterr().err
         assert not dest.exists()
 
     def test_missing_config_file(self):

@@ -28,21 +28,21 @@ def kernel_symmetry_error(weights):
 class TestGaussianKernel:
     def test_unit_sum(self):
         k = gaussian_kernel(make_space(64), 0.2)
-        assert k.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert k.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
         k = gaussian_kernel(make_space(33), 0.37)
-        assert kernel_symmetry_error(k.weights) < 1e-14
+        assert kernel_symmetry_error(k) < 1e-14
 
     def test_nonnegative(self):
         k = gaussian_kernel(make_space(64), 0.05)
-        assert np.all(k.weights >= 0.0)
+        assert np.all(k >= 0.0)
 
     def test_huge_width_near_uniform(self):
         # eps*N/(2*pi) = 50*N: periodized Gaussian is flat to machine precision
         N = 32
         k = gaussian_kernel(make_space(N), 2.0 * np.pi * 50.0)
-        assert k.weights.max() - k.weights.min() < 1e-6
+        assert k.max() - k.min() < 1e-6
 
     def test_width_parameter(self):
         # ratio c(1,0)/c(0,0) = exp(-1/(2 s^2)) for narrow kernels
@@ -50,7 +50,7 @@ class TestGaussianKernel:
         eps = 0.1
         s = eps * N / (2 * np.pi)
         k = gaussian_kernel(make_space(N), eps)
-        assert k.weights[1, 0] / k.weights[0, 0] == pytest.approx(np.exp(-1 / (2 * s * s)), rel=1e-10)
+        assert k[1, 0] / k[0, 0] == pytest.approx(np.exp(-1 / (2 * s * s)), rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -60,12 +60,12 @@ class TestGaussianKernel:
 class TestDepolarizingKernel:
     def test_origin_weight(self):
         k = depolarizing_kernel(make_space(16), 0.3)
-        assert k.weights[0, 0] == pytest.approx(0.7, abs=1e-14)
+        assert k[0, 0] == pytest.approx(0.7, abs=1e-14)
 
     def test_off_origin_uniform(self):
         N = 16
         k = depolarizing_kernel(make_space(N), 0.3)
-        off = k.weights.copy()
+        off = k.copy()
         off[0, 0] = np.nan
         vals = off[~np.isnan(off)]
         assert np.allclose(vals, 0.3 / (N * N - 1), atol=1e-16)
@@ -93,17 +93,17 @@ class TestDepolarizingKernel:
 class TestLorentzKernel:
     def test_unit_sum(self):
         k = lorentz_kernel(make_space(64), 0.3, image_cutoff=30)
-        assert k.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert k.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
         k = lorentz_kernel(make_space(33), 0.4, image_cutoff=20)
-        assert kernel_symmetry_error(k.weights) < 1e-14
+        assert kernel_symmetry_error(k) < 1e-14
 
     def test_matches_direct_image_sum(self):
         # quadrature evaluation against the literal truncated double sum
         space = make_space(16)
-        fast = lorentz_kernel(space, 0.6, image_cutoff=25).weights
-        direct = lorentz_kernel_direct(space, 0.6, image_cutoff=25).weights
+        fast = lorentz_kernel(space, 0.6, image_cutoff=25)
+        direct = lorentz_kernel_direct(space, 0.6, image_cutoff=25)
         assert np.max(np.abs(fast - direct) / direct) < 1e-9
 
     @pytest.mark.parametrize("N", [32, 64])
@@ -112,15 +112,15 @@ class TestLorentzKernel:
         # s = eps N / 2pi from far below one grid cell (nearly all weight at the origin) to two
         space = make_space(N)
         eps = 2 * np.pi * s / N
-        fast = lorentz_kernel(space, eps, image_cutoff=30).weights
-        direct = lorentz_kernel_direct(space, eps, image_cutoff=30).weights
+        fast = lorentz_kernel(space, eps, image_cutoff=30)
+        direct = lorentz_kernel_direct(space, eps, image_cutoff=30)
         assert np.max(np.abs(fast - direct) / direct) < 1e-12
 
     @pytest.mark.slow
     def test_inverse_square_tail(self):
         # mid-range ratio c(r,0)/c(2r,0) ~ 4 at N=800, s=1, r=20
         space = make_space(800)
-        c = lorentz_kernel(space, 2 * np.pi / 800).weights
+        c = lorentz_kernel(space, 2 * np.pi / 800)
         assert c[20, 0] / c[40, 0] == pytest.approx(4.0, rel=0.2)
 
     @pytest.mark.slow
@@ -131,8 +131,8 @@ class TestLorentzKernel:
         # the shape (tail ratios) is far more stable.
         space = make_space(800)
         eps = 2 * np.pi / 800
-        c50 = lorentz_kernel(space, eps, image_cutoff=50).weights
-        c100 = lorentz_kernel(space, eps, image_cutoff=100).weights
+        c50 = lorentz_kernel(space, eps, image_cutoff=50)
+        c100 = lorentz_kernel(space, eps, image_cutoff=100)
         assert np.max(np.abs(c50 - c100) / c100) < 0.07
         ratio50 = c50[20, 0] / c50[40, 0]
         ratio100 = c100[20, 0] / c100[40, 0]
@@ -154,9 +154,9 @@ class TestCompletePositivitySurrogate:
         space = make_space(48)
         kernel = build_kernel(space, tag, 0.3, image_cutoff=20) \
             if tag != "identity" else identity_kernel(space)
-        assert np.all(kernel.weights >= 0.0)
-        assert kernel.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert kernel_symmetry_error(kernel.weights) < 1e-12
+        assert np.all(kernel >= 0.0)
+        assert kernel.sum() == pytest.approx(1.0, abs=1e-12)
+        assert kernel_symmetry_error(kernel) < 1e-12
 
 
 class TestMixtureKernel:
@@ -172,9 +172,8 @@ class TestMixtureKernel:
         g = gaussian_kernel(space, 0.3)
         l = lorentz_kernel(space, 0.3, image_cutoff=20)
         m = mixture_kernel(g, l, 0.5)
-        assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(m.weights >= 0.0)
-        assert m.model_tag == "mixture"
+        assert m.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(m >= 0.0)
 
     def test_space_mismatch(self):
         g = gaussian_kernel(make_space(16), 0.3)
@@ -188,33 +187,30 @@ class TestChordMultiplier:
         for tag in ("gdm", "dc", "ldm"):
             k = build_kernel(make_space(16), tag, 0.3, image_cutoff=20)
             m = chord_multiplier(k)
-            assert m.values[0, 0] == pytest.approx(1.0, abs=1e-10)
-            assert np.max(np.abs(m.values)) <= 1.0 + 1e-10
+            assert m[0, 0] == pytest.approx(1.0, abs=1e-10)
+            assert np.max(np.abs(m)) <= 1.0 + 1e-10
 
     def test_identity_kernel_all_ones(self):
         m = chord_multiplier(identity_kernel(make_space(16)))
-        assert np.max(np.abs(m.values - 1.0)) < 1e-12
+        assert np.max(np.abs(m - 1.0)) < 1e-12
 
     def test_random_symmetric_against_double_sum(self):
         N = 8
         kernel = random_symmetric_kernel(N, seed=13)
-        chat = chord_multiplier(kernel).values
+        chat = chord_multiplier(kernel)
         j = np.arange(N)
         for Q in range(N):
             for P in range(N):
                 phases = np.exp(2j * np.pi * (j[None, :] * Q - j[:, None] * P) / N)
-                direct = np.sum(kernel.weights * phases)
+                direct = np.sum(kernel * phases)
                 assert abs(chat[Q, P] - direct) < 1e-12
 
     def test_asymmetric_kernel_rejected(self):
-        from torus_echo.decoherence import DecoherenceKernel
         N = 8
         rng = np.random.default_rng(0)
         raw = rng.random((N, N))
-        bad = DecoherenceKernel(space=make_space(N), weights=raw / raw.sum(),
-                                epsilon=0.0, model_tag="identity")
         with pytest.raises(ValueError):
-            chord_multiplier(bad)
+            chord_multiplier(raw / raw.sum())
 
 
 class TestApplyDecoherence:
@@ -261,6 +257,11 @@ class TestApplyDecoherence:
         for tag in ("gdm", "dc", "ldm"):
             mult = chord_multiplier(build_kernel(make_space(N), tag, 0.4, image_cutoff=20))
             assert np.max(np.abs(apply_decoherence(eye, mult) - eye)) < 1e-12
+
+    def test_shape_mismatch(self, rng):
+        mult = chord_multiplier(gaussian_kernel(make_space(16), 0.3))
+        with pytest.raises(ValueError):
+            apply_decoherence(random_density(8, rng), mult)
 
     def test_never_increases_purity(self, rng):
         N = 24

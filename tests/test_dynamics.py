@@ -103,12 +103,6 @@ class TestPropagator:
             psi = random_state(128, rng)
             assert np.linalg.norm(apply_propagator(psi, prop)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_adjoint_inverts_forward(self, rng):
-        prop = build_propagator(make_space(64), MapParams(2, 2, 0.007))
-        psi = random_state(64, rng)
-        back = apply_propagator(apply_propagator(psi, prop), prop, "adjoint")
-        assert np.max(np.abs(back - psi)) < 1e-10
-
     def test_matches_matrix_oracle(self, rng):
         # explicit 8x8 unitary built entrywise from the DFT matrix
         N = 8
@@ -143,11 +137,6 @@ class TestPropagator:
         prop = build_propagator(make_space(16), MapParams(2, 2, 0.0))
         with pytest.raises(ValueError):
             apply_propagator(random_state(8, rng), prop)
-
-    def test_bad_direction(self, rng):
-        prop = build_propagator(make_space(8), MapParams(2, 2, 0.0))
-        with pytest.raises(ValueError):
-            apply_propagator(random_state(8, rng), prop, "backward")
 
 
 class TestClassicalCorrespondence:

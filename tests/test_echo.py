@@ -3,7 +3,7 @@ import pytest
 
 from torus_echo.dynamics import MapParams
 from torus_echo.echo import (
-    PerturbationSpec,
+    _propagator_pair,
     averaged_le,
     default_echo_t_max,
     ensemble_centers,
@@ -12,42 +12,36 @@ from torus_echo.echo import (
 from torus_echo.hilbert import coherent_state, make_space
 
 
-class TestPerturbationSpec:
-    def test_sigma(self):
-        pert = PerturbationSpec(k=0.0002, k_prime=0.00021)
-        assert pert.sigma == pytest.approx(1e-5, rel=1e-9)
-
+class TestPerturbation:
     def test_paper_configuration_mapping(self):
         # Sigma/hbar = 0.65884 at N = 2^20 corresponds to sigma = 1.0e-7
         space = make_space(2**20)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 0.65884)
-        assert pert.sigma == pytest.approx(1.0e-7, rel=1e-4)
-        assert pert.sigma_over_hbar(space) == pytest.approx(0.65884, rel=1e-12)
+        prop, prop_pert = _propagator_pair(space, MapParams(2, 2, 0.0002), 0.65884, 1)
+        sigma = prop_pert.params.k - prop.params.k
+        assert sigma == pytest.approx(1.0e-7, rel=1e-4)
+        assert sigma / space.hbar == pytest.approx(0.65884, rel=1e-12)
 
 
 class TestLeCurve:
     def test_starts_at_one(self):
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 1.0)
         psi = coherent_state(space, 0.3, 0.4)
-        curve = le_curve(psi, space, params, pert, 10)
+        curve = le_curve(psi, space, params, 1.0, 10)
         assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_sigma_stays_at_one(self):
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec(k=0.0002, k_prime=0.0002)
         psi = coherent_state(space, 0.3, 0.4)
-        curve = le_curve(psi, space, params, pert, 20)
+        curve = le_curve(psi, space, params, 0.0, 20)
         assert np.max(np.abs(curve.values - 1.0)) < 1e-10
 
     def test_values_in_unit_interval(self):
         space = make_space(128)
         params = MapParams(2, 2, 0.001)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.001, 3.0)
         psi = coherent_state(space, 0.1, 0.9)
-        curve = le_curve(psi, space, params, pert, 40)
+        curve = le_curve(psi, space, params, 3.0, 40)
         assert np.all(curve.values >= 0.0)
         assert np.all(curve.values <= 1.0 + 1e-12)
 
@@ -56,10 +50,8 @@ class TestLeCurve:
         space = make_space(128)
         k, kp = 0.001, 0.0015
         psi = coherent_state(space, 0.6, 0.25)
-        fwd = le_curve(psi, space, MapParams(2, 2, k),
-                       PerturbationSpec(k, kp), 15)
-        rev = le_curve(psi, space, MapParams(2, 2, kp),
-                       PerturbationSpec(kp, k), 15)
+        fwd = le_curve(psi, space, MapParams(2, 2, k), (kp - k) / space.hbar, 15)
+        rev = le_curve(psi, space, MapParams(2, 2, kp), (k - kp) / space.hbar, 15)
         assert np.max(np.abs(fwd.values - rev.values)) < 1e-10
 
     def test_long_time_saturation_order_one_over_n(self):
@@ -67,60 +59,49 @@ class TestLeCurve:
         N = 128
         space = make_space(N)
         params = MapParams(2, 2, 0.0)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0, 4.0)
-        curve = averaged_le(space, params, pert, 120, n_states=8, seed=3)
+        curve = averaged_le(space, params, 4.0, 120, n_states=8, seed=3)
         tail = curve.values[40:].mean()
         assert 0.2 / N < tail < 5.0 / N
-
-    def test_base_amplitude_mismatch(self):
-        space = make_space(32)
-        psi = coherent_state(space, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            le_curve(psi, space, MapParams(2, 2, 0.0), PerturbationSpec(0.001, 0.002), 5)
 
     def test_t_max_validation(self):
         space = make_space(32)
         psi = coherent_state(space, 0.2, 0.2)
         with pytest.raises(ValueError):
-            le_curve(psi, space, MapParams(2, 2, 0.0), PerturbationSpec(0.0, 0.001), 0)
+            le_curve(psi, space, MapParams(2, 2, 0.0), 1.0, 0)
 
 
 class TestAveragedLe:
     def test_single_state_equals_le_curve(self):
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 2.0)
-        avg = averaged_le(space, params, pert, 12, n_states=1, seed=9)
+        avg = averaged_le(space, params, 2.0, 12, n_states=1, seed=9)
         q0, p0 = ensemble_centers(9, 1)[0]
-        single = le_curve(coherent_state(space, q0, p0), space, params, pert, 12)
+        single = le_curve(coherent_state(space, q0, p0), space, params, 2.0, 12)
         assert np.array_equal(avg.values, single.values)
 
     def test_same_seed_bitwise_identical(self):
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 1.5)
-        a = averaged_le(space, params, pert, 10, n_states=6, seed=42)
-        b = averaged_le(space, params, pert, 10, n_states=6, seed=42)
+        a = averaged_le(space, params, 1.5, 10, n_states=6, seed=42)
+        b = averaged_le(space, params, 1.5, 10, n_states=6, seed=42)
         assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 1.5)
-        a = averaged_le(space, params, pert, 10, n_states=4, seed=1)
-        b = averaged_le(space, params, pert, 10, n_states=4, seed=2)
+        a = averaged_le(space, params, 1.5, 10, n_states=4, seed=1)
+        b = averaged_le(space, params, 1.5, 10, n_states=4, seed=2)
         assert not np.array_equal(a.values, b.values)
 
     def test_mean_of_individual_curves(self):
         # fixed summation order: averaged curve is the exact mean
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 2.5)
         n = 5
-        avg = averaged_le(space, params, pert, 8, n_states=n, seed=7)
+        avg = averaged_le(space, params, 2.5, 8, n_states=n, seed=7)
         acc = np.zeros(9)
         for q0, p0 in ensemble_centers(7, n):
-            acc += le_curve(coherent_state(space, q0, p0), space, params, pert, 8).values
+            acc += le_curve(coherent_state(space, q0, p0), space, params, 2.5, 8).values
         assert np.max(np.abs(avg.values - acc / n)) < 1e-12
 
     def test_propagator_pair_built_once(self, monkeypatch):
@@ -134,15 +115,8 @@ class TestAveragedLe:
         build = echo.build_propagator
         monkeypatch.setattr(echo, "build_propagator", counting_build)
         space = make_space(64)
-        pert = PerturbationSpec.from_sigma_over_hbar(space, 0.0002, 2.0)
-        averaged_le(space, MapParams(2, 2, 0.0002), pert, 6, n_states=5, seed=3)
-        assert keys == [pert.k, pert.k_prime]
-
-    def test_base_amplitude_mismatch(self):
-        space = make_space(32)
-        with pytest.raises(ValueError):
-            averaged_le(space, MapParams(2, 2, 0.0), PerturbationSpec(0.001, 0.002), 5,
-                        n_states=2, seed=1)
+        averaged_le(space, MapParams(2, 2, 0.0002), 2.0, 6, n_states=5, seed=3)
+        assert keys == [0.0002, 0.0002 + 2.0 * space.hbar]
 
     def test_centers_prefix_stable(self):
         # substreams are per-state: first centers unchanged by ensemble growth
