@@ -4,7 +4,8 @@ Usage:
     torus-echo <mode> --config <path> [--out <dir>] [--set key=value ...]
     torus-echo selftest
 
-Modes: le-curve, le-sweep, purity-curve, purity-sweep, predict, selftest.
+Modes: le-curve, le-sweep, purity-curve, purity-sweep, predict.  selftest
+runs the oracle suite and reads no config.
 
 Config files are flat key = value text: one assignment per line, '#' starts
 a comment, lists are comma separated.  Example:
@@ -36,14 +37,14 @@ from typing import Optional, get_args
 import numpy as np
 
 from . import __version__
-from .analysis import _prediction_for, sweep_echo, sweep_purity
+from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, _prediction_for,
+                       sweep_echo, sweep_purity)
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF
 from .dynamics import MapParams
 from .echo import default_echo_t_max
 from .hilbert import make_space
-from .selftest import run_selftest
 
-MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict", "selftest")
+MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
 ECHO_MODES = ("le-curve", "le-sweep")
 PURITY_MODES = ("purity-curve", "purity-sweep")
 MODELS = ("gdm", "dc", "ldm", "mixture")
@@ -65,10 +66,10 @@ class ResourceRefusal(RuntimeError):
 @dataclass
 class RunConfig:
     mode: str
-    N: int
+    N: Optional[int] = None  # mode-dependent default, see _validate
     a: int = 2
     b: int = 2
-    k: float = None  # mode-dependent default, see parse_config
+    k: Optional[float] = None  # mode-dependent default, see _validate
     sigma_over_hbar: list = field(default_factory=list)
     epsilon: list = field(default_factory=list)
     model: Optional[str] = None
@@ -77,8 +78,8 @@ class RunConfig:
     t_max: Optional[int] = None
     n_states: int = 16
     seed: int = 1
-    transient_skip: int = 2
-    floor_factor: float = 3.0
+    transient_skip: int = DEFAULT_TRANSIENT_SKIP
+    floor_factor: float = DEFAULT_FLOOR_FACTOR
     out_dir: str = "torus-echo-out"
     memory_cap_gib: float = 8.0
 
@@ -116,71 +117,65 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             raw[key] = _PARSERS[kind](value)
         except ValueError:
             raise ConfigError(f"key '{key}' expects {_EXPECTED[kind]}, got {value!r}") from None
-    return _validate(raw)
-
-
-def _validate(raw: dict) -> RunConfig:
     if "mode" not in raw:
         raise ConfigError("missing required key 'mode'")
-    mode = raw["mode"]
+    return _validate(RunConfig(**raw))
+
+
+def _validate(config: RunConfig) -> RunConfig:
+    """Check a parsed config and fill its mode-dependent N, k and t_max."""
+    mode = config.mode
     if mode not in MODES:
         raise ConfigError(f"key 'mode' must be one of {', '.join(MODES)}; got {mode!r}")
-
-    if mode == "selftest":
-        return RunConfig(mode=mode, N=raw.get("N", 8), k=raw.get("k", 0.0),
-                         out_dir=raw.get("out_dir", "torus-echo-out"))
-
     needs_purity = mode in PURITY_MODES
-    if "N" not in raw:
-        if needs_purity:
-            raw["N"] = 800
-        else:
+    if config.N is None:
+        if not needs_purity:
             raise ConfigError("missing required key 'N'")
+        config.N = 800
     try:
-        space = make_space(raw["N"])
+        space = make_space(config.N)
     except ValueError as err:
         raise ConfigError(f"key 'N': {err}") from None
-    if "k" not in raw:
-        raw["k"] = 0.01 if (needs_purity or mode == "predict") else 0.0002
+    if config.k is None:
+        config.k = 0.01 if (needs_purity or mode == "predict") else 0.0002
     try:
-        params = MapParams(raw.get("a", 2), raw.get("b", 2), raw["k"])
+        params = MapParams(config.a, config.b, config.k)
     except ValueError as err:
         raise ConfigError(f"keys 'a'/'b'/'k': {err}") from None
 
     controls_key = "sigma_over_hbar" if mode in ECHO_MODES else "epsilon"
-    controls = raw.get(controls_key, [])
+    controls = getattr(config, controls_key)
     if not controls:
         raise ConfigError(f"mode '{mode}' requires a non-empty '{controls_key}' list")
     if any(c <= 0 for c in controls):
         raise ConfigError(f"key '{controls_key}' entries must be > 0")
     if mode in ECHO_MODES:
-        if raw.get("n_states", 16) < 1:
-            raise ConfigError(f"key 'n_states' must be >= 1, got {raw['n_states']}")
+        if config.n_states < 1:
+            raise ConfigError(f"key 'n_states' must be >= 1, got {config.n_states}")
     else:
-        if "model" not in raw:
+        if config.model is None:
             raise ConfigError(f"mode '{mode}' requires key 'model'")
-        if raw["model"] not in MODELS:
-            raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {raw['model']!r}")
-        if mode == "predict" and raw["model"] not in ("gdm", "dc"):
+        if config.model not in MODELS:
+            raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {config.model!r}")
+        if mode == "predict" and config.model not in ("gdm", "dc"):
             raise ConfigError("mode 'predict' supports only models with analytic rates: gdm, dc")
-        if raw["model"] == "dc" and max(controls) > 1.0:
+        if config.model == "dc" and max(controls) > 1.0:
             raise ConfigError(f"key 'epsilon' entries must be <= 1 for model 'dc', got {max(controls)}")
-        mw = raw.get("mixture_weight", 0.5)
-        if not 0.0 <= mw <= 1.0:
-            raise ConfigError(f"key 'mixture_weight' must be in [0, 1], got {mw}")
-    if raw.get("t_max") is None:
-        raw["t_max"] = default_echo_t_max(space, params)
-    if raw["t_max"] < 1:
-        raise ConfigError(f"key 't_max' must be >= 1, got {raw['t_max']}")
-    if raw.get("seed", 1) < 0:
-        raise ConfigError(f"key 'seed' must be a nonnegative integer, got {raw['seed']}")
-    if raw.get("transient_skip", 2) < 0:
-        raise ConfigError(f"key 'transient_skip' must be >= 0, got {raw['transient_skip']}")
-    if raw.get("floor_factor", 3.0) <= 0:
-        raise ConfigError(f"key 'floor_factor' must be > 0, got {raw['floor_factor']}")
-    if raw.get("image_cutoff", LORENTZ_DEFAULT_IMAGE_CUTOFF) < 10:
-        raise ConfigError(f"key 'image_cutoff' must be >= 10, got {raw['image_cutoff']}")
-    return RunConfig(**raw)
+        if not 0.0 <= config.mixture_weight <= 1.0:
+            raise ConfigError(f"key 'mixture_weight' must be in [0, 1], got {config.mixture_weight}")
+    if config.t_max is None:
+        config.t_max = default_echo_t_max(space, params)
+    if config.t_max < 1:
+        raise ConfigError(f"key 't_max' must be >= 1, got {config.t_max}")
+    if config.seed < 0:
+        raise ConfigError(f"key 'seed' must be a nonnegative integer, got {config.seed}")
+    if config.transient_skip < 0:
+        raise ConfigError(f"key 'transient_skip' must be >= 0, got {config.transient_skip}")
+    if config.floor_factor <= 0:
+        raise ConfigError(f"key 'floor_factor' must be > 0, got {config.floor_factor}")
+    if config.image_cutoff < 10:
+        raise ConfigError(f"key 'image_cutoff' must be >= 10, got {config.image_cutoff}")
+    return config
 
 
 def _fmt(x) -> str:
@@ -190,6 +185,8 @@ def _fmt(x) -> str:
 
 
 def _check_memory(config: RunConfig):
+    N = config.N
+    working_set = 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
         # The fused purity step's live N x N arrays, in complex128 units of
         # 16 N^2 bytes: the diagonals d, their FFT and its gathered copy (<= 3),
@@ -197,14 +194,21 @@ def _check_memory(config: RunConfig):
         # gather index, the real chord multiplier and the kernel weights (1.5).
         # Peak RSS grows by about 5.2 such units: 68/70, 101/104 and
         # 253/258 MiB for gdm/ldm at N = 400, 800 and 1600.
-        working_set = 5.5 * 16 * config.N ** 2
-    else:
-        working_set = 64 * 16 * config.N
+        working_set = 5.5 * 16 * N ** 2
+        if config.model in ("ldm", "mixture"):
+            # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
+            # dist_sq, -t * dist_sq and its exp.  Peak RSS grows by 3.0 such
+            # arrays from x = 5000 to 10^4 at N = 800 (241.5 -> 424.7 MiB).
+            working_set += 3 * 8 * (2 * config.image_cutoff + 1) * N
+    elif config.mode in ECHO_MODES:
+        # 16 complex vectors: an le-curve's peak RSS grows by 224 and 192 B
+        # per N at N = 2^20 and 2^22 (56.5 -> 280.8 and 824.8 MiB).
+        working_set = 16 * 16 * N
     cap = config.memory_cap_gib * 2**30
     if working_set > cap:
         raise ResourceRefusal(
             f"estimated working set {working_set / 2**30:.1f} GiB exceeds cap "
-            f"{config.memory_cap_gib} GiB (N={config.N}, mode={config.mode}); "
+            f"{config.memory_cap_gib} GiB (N={N}, mode={config.mode}); "
             "raise memory_cap_gib to force the run"
         )
 
@@ -255,9 +259,6 @@ def run(config: RunConfig) -> int:
     manifest.json is written also when the run raises, and then names the
     exception under 'error'.
     """
-    if config.mode == "selftest":
-        return EXIT_OK if run_selftest(verbose=True) else EXIT_RUNTIME
-
     _check_memory(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,19 +314,20 @@ def main(argv=None) -> int:
         prog="torus-echo",
         description="Loschmidt echo / purity decay experiments on quantized torus maps",
     )
-    parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--config", help="path to a key = value config file")
+    parser.add_argument("mode", choices=MODES + ("selftest",))
+    parser.add_argument("--config", help="path to a key = value config file (not read by selftest)")
     parser.add_argument("--out", help="output directory (overrides out_dir)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)
+    if args.mode == "selftest":
+        from .selftest import run_selftest  # the oracles load only here
+        return EXIT_OK if run_selftest(verbose=True) else EXIT_RUNTIME
 
+    if not args.config:
+        parser.error(f"mode '{args.mode}' requires --config")
     try:
-        text = ""
-        if args.config:
-            text = Path(args.config).read_text()
-        elif args.mode != "selftest":
-            parser.error(f"mode '{args.mode}' requires --config")
+        text = Path(args.config).read_text()
         overrides = [f"mode={args.mode}"] + list(args.overrides)
         if args.out:
             overrides.append(f"out_dir={args.out}")

@@ -72,13 +72,9 @@ def _chord_phase(N: int) -> np.ndarray:
 
 
 def _cyclic_diagonals(x: np.ndarray) -> np.ndarray:
-    """Read-only N x N view d[Q, j] = x[(Q + j) % N, j] over x doubled by
-    rows; a vector x reads as the matrix x[r, j] = x[r]."""
-    N = x.shape[0]
+    """Read-only N x N view d[Q, j] = x[(Q + j) % N] over the vector x doubled."""
     doubled = np.concatenate((x, x))
-    s0 = doubled.strides[0]
-    s1 = doubled.strides[1] if x.ndim == 2 else 0
-    return as_strided(doubled, (N, N), (s0, s0 + s1), writeable=False)
+    return as_strided(doubled, (x.size, x.size), doubled.strides * 2, writeable=False)
 
 
 def rho_to_chord(rho: np.ndarray) -> np.ndarray:
@@ -88,9 +84,10 @@ def rho_to_chord(rho: np.ndarray) -> np.ndarray:
     d[Q, j] = rho[(Q + j) % N, j], O(N^2 log N).
     """
     N = rho.shape[0]
-    if rho.shape != (N, N):  # the strided view would read past the buffer
+    if rho.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    chi = sfft.fft(_cyclic_diagonals(rho), axis=1, workers=-1)
+    j = np.arange(N)
+    chi = sfft.fft(rho[(j[:, None] + j) % N, j], axis=1, workers=-1)
     chi *= _chord_phase(N)
     return chi
 

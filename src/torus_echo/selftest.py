@@ -4,7 +4,8 @@ construction.  Used by the CLI selftest mode and mirrored in the test suite.
 The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct) and the
-literal Lorentz image sum (lorentz_kernel_direct).
+literal Lorentz image sum (lorentz_kernel_direct).  At k = 0 the chord orbit
+(chord_orbit_purity) gives purity_curve's values at production N.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from .decoherence import (
     gaussian_kernel,
     identity_kernel,
     lorentz_kernel,
+    purity_curve,
 )
 from .dynamics import (
     MapParams,
@@ -32,7 +34,7 @@ from .dynamics import (
     lyapunov_closed_form,
     lyapunov_numeric,
 )
-from .hilbert import SpaceDescriptor, chord_to_rho, make_space, purity, rho_to_chord
+from .hilbert import SpaceDescriptor, chord_to_rho, coherent_state, make_space, purity, rho_to_chord
 
 
 def translate(state: np.ndarray, q: int, p: int) -> np.ndarray:
@@ -201,6 +203,43 @@ def check_purity_step(seed=11):
     return worst, 1e-12
 
 
+def chord_orbit_purity(psi: np.ndarray, a: int, b: int, chat: np.ndarray,
+                       t_max: int) -> np.ndarray:
+    """Purity P(0..t_max) under rho' = D(U rho U^dag) at k = 0, even a and b.
+
+    Both halves of U are then linear shears, which permute the chord
+    coefficients up to a phase, and D multiplies them by chat.  So the
+    weights w = |chi|^2 / N move along the orbit of the cat map on chords,
+    w -> w[Q, (P - a*Q) % N], then w[(Q - b*P) % N, P], then times chat^2,
+    and P(t) = sum w: the exact finite-N form of chord stretching (Zurek &
+    Paz, PRL 72, 2508 (1994)).  No FFT, so it checks purity_curve's
+    permutation at any N; being phase-blind, it leaves phases to
+    check_purity_step.
+    """
+    N = psi.shape[0]
+    w = np.abs(rho_to_chord(np.outer(psi, psi.conj()))) ** 2 / N
+    Q, P = np.ogrid[:N, :N]
+    decay = chat ** 2
+    values = [w.sum()]
+    for _ in range(t_max):
+        w = w[Q, (P - a * Q) % N]
+        w = w[(Q - b * P) % N, P] * decay
+        values.append(w.sum())
+    return np.array(values)
+
+
+def check_chord_orbit(N=24, t_max=6):
+    """purity_curve at k = 0 against chord_orbit_purity, random symmetric kernel."""
+    space, kernel = make_space(N), random_symmetric_kernel(N, seed=12)
+    psi = coherent_state(space, 0.31, 0.47)
+    worst = 0.0
+    for a, b in ((2, 2), (2, 4), (4, 2)):
+        expected = chord_orbit_purity(psi, a, b, chord_multiplier(kernel), t_max)
+        got = purity_curve(psi, build_propagator(space, MapParams(a, b, 0.0)), kernel, t_max).values
+        worst = max(worst, float(np.max(np.abs(got - expected) / expected)))
+    return worst, 1e-12
+
+
 def check_multiplier_against_double_sum(N=8, seed=6):
     kernel = random_symmetric_kernel(N, seed)
     chat = chord_multiplier(kernel)
@@ -280,6 +319,7 @@ ALL_CHECKS = [
     ("density-conjugation", check_density_conjugation),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
     ("purity-step-vs-composition", check_purity_step),
+    ("purity-vs-chord-orbit", check_chord_orbit),
     ("chord-vs-kraus-sum", check_kraus_equivalence),
     ("depolarizing-closed-form", check_depolarizing_closed_form),
     ("lorentz-quadrature", check_lorentz_quadrature),

@@ -213,6 +213,21 @@ class TestRun:
         code = main(["purity-sweep", "--config", str(_write(tmp_path, text))])
         assert code == EXIT_RESOURCE
 
+    def test_predict_is_charged_nothing(self):
+        # closed-form rates allocate no state, so the largest space is admitted
+        _check_memory(RunConfig(mode="predict", N=2**26))
+
+    def test_echo_working_set_admits_n2_24_at_default_cap(self):
+        # 16 complex vectors, 4 GiB at N = 2^24
+        _check_memory(RunConfig(mode="le-sweep", N=2**24))
+        with pytest.raises(ResourceRefusal):
+            _check_memory(RunConfig(mode="le-sweep", N=2**26))
+
+    def test_lorentz_temporaries_charged(self):
+        # three float (2x + 1, N) arrays, 11.9 GiB each at x = 10^6, N = 800
+        with pytest.raises(ResourceRefusal):
+            _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=10**6))
+
     def test_purity_working_set_admits_n8000_at_default_cap(self):
         # the fused step peaks near 5.2 complex N x N arrays; N = 10^4 needs ~8.2 GiB
         _check_memory(RunConfig(mode="purity-sweep", N=8000))
@@ -251,6 +266,23 @@ class TestMain:
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_selftest_reads_no_config(self, capsys):
+        # a missing file or a bad key is not an error, since neither is read
+        assert main(["selftest", "--config", "/nonexistent/conf", "--set", "N=bogus"]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_selftest_is_no_config_mode(self):
+        with pytest.raises(ConfigError, match="key 'mode' must be one of"):
+            parse_config("mode = selftest")
+
+    def test_lorentz_refusal_fails_before_output(self, tmp_path, capsys):
+        dest = tmp_path / "out"
+        text = ("mode = purity-sweep\nN = 800\nmodel = ldm\nimage_cutoff = 1000000\n"
+                f"epsilon = 0.1\nt_max = 5\nout_dir = {dest}")
+        assert main(["purity-sweep", "--config", str(_write(tmp_path, text))]) == EXIT_RESOURCE
+        assert "refused: estimated working set" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = _write(tmp_path, "mode = le-curve\nN = 64\nsigma_over_hbar = 1.0\na = 3")

@@ -14,7 +14,8 @@ from torus_echo.decoherence import (
 )
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
-from torus_echo.selftest import apply_decoherence_direct, lorentz_kernel_direct, random_symmetric_kernel
+from torus_echo.selftest import (apply_decoherence_direct, chord_orbit_purity, lorentz_kernel_direct,
+                                 random_symmetric_kernel)
 
 from composition_oracle import assert_matches_composition
 from conftest import random_density
@@ -335,11 +336,28 @@ class TestPurityCurve:
             purity_curve(self.psi, self.prop, gaussian_kernel(make_space(32), 0.3), 5)
 
 
+FAMILIES_AT_N800 = [("gdm", 0.5 * 2 * np.pi / 800), ("dc", 0.05), ("ldm", 0.0005), ("mixture", 0.02)]
+
+
 class TestDiagonalStep:
-    @pytest.mark.parametrize("tag, eps", [("gdm", 0.5 * 2 * np.pi / 800), ("dc", 0.05),
-                                          ("ldm", 0.0005), ("mixture", 0.02)])
+    @pytest.mark.parametrize("tag, eps", FAMILIES_AT_N800)
     def test_matches_composition_at_n800(self, tag, eps):
         space = make_space(800)
         prop = build_propagator(space, MapParams(2, 2, 0.01))
         assert_matches_composition(coherent_state(space, 0.31, 0.47), prop,
                                    build_kernel(space, tag, eps), 6)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("N, a, b", [(800, 2, 2), (800, 4, 2), (800, 2, 4), (801, 2, 2)])
+    def test_matches_chord_orbit_at_production_n(self, N, a, b):
+        # at k = 0 the chord orbit is exact: it checks the kick and shear
+        # permutations of every step, for each (a, b) and at odd N; it is
+        # phase-blind, so the composition test above keeps the phases
+        space = make_space(N)
+        prop = build_propagator(space, MapParams(a, b, 0.0))
+        psi = coherent_state(space, 0.31, 0.47)
+        for tag, eps in FAMILIES_AT_N800:
+            kernel = build_kernel(space, tag, eps)
+            expected = chord_orbit_purity(psi, a, b, chord_multiplier(kernel), 12)
+            values = purity_curve(psi, prop, kernel, 12).values
+            assert np.max(np.abs(values - expected) / expected) < 1e-12, tag

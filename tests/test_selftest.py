@@ -25,9 +25,10 @@ def test_runner_reports_success(capsys):
 
 
 def test_oracles_stay_out_of_the_runtime_modules():
-    # a fresh interpreter: this process has imported selftest already
+    # a fresh interpreter: this process has imported selftest already; the
+    # CLI imports it only to run the selftest mode
     probe = ("import sys, torus_echo\n"
-             "from torus_echo import analysis, decoherence, dynamics, hilbert\n"
+             "from torus_echo import analysis, cli, decoherence, dynamics, hilbert\n"
              "print('torus_echo.selftest' in sys.modules)\n"
              f"print(sorted(n for n in {ORACLE_NAMES!r} for m in "
              "(torus_echo, analysis, decoherence, dynamics, hilbert) if hasattr(m, n)))\n")
