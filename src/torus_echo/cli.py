@@ -22,8 +22,8 @@ a comment, lists are comma separated.  Example:
 
 Any key can be overridden from the command line with --set key=value.
 Outputs: one CSV per curve or sweep plus manifest.json in the output
-directory.  Exit codes: 0 success, 1 config error, 2 runtime/fit error,
-3 resource refusal.
+directory.  Exit codes: 0 success, 1 config or usage error, 2 runtime/fit
+error, 3 resource refusal.
 """
 
 import argparse
@@ -201,8 +201,12 @@ def _check_memory(config: RunConfig):
             # arrays from x = 5000 to 10^4 at N = 800 (241.5 -> 424.7 MiB).
             working_set += 3 * 8 * (2 * config.image_cutoff + 1) * N
     elif config.mode in ECHO_MODES:
-        # 16 complex vectors: an le-curve's peak RSS grows by 224 and 192 B
-        # per N at N = 2^20 and 2^22 (56.5 -> 280.8 and 824.8 MiB).
+        # 16 complex vectors.  From N = 2^15 a block is one state: its (2, 1, N)
+        # buffer and the pair's stacked phases (2 + 2), with the Propagators
+        # or coherent_state's temporaries on top at the peak.  A one-state
+        # le-curve's peak RSS grows by 176 B per N at both N = 2^20 and 2^22
+        # (56.5 -> 232.6 and 760.9 MiB); below 2^15 the block buffer is a
+        # fixed 1 MiB.
         working_set = 16 * 16 * N
     cap = config.memory_cap_gib * 2**30
     if working_set > cap:
@@ -309,8 +313,17 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors (an unknown mode, a missing --config) exiting
+    EXIT_CONFIG instead of 2, which is the runtime-error code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torus-echo",
         description="Loschmidt echo / purity decay experiments on quantized torus maps",
     )

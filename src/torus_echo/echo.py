@@ -3,9 +3,9 @@ averages over uniformly drawn coherent states.  The perturbation is its
 rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N)."""
 
 import numpy as np
+import scipy.fft as sfft
 
-from .dynamics import (Curve, MapParams, Propagator, apply_propagator, build_propagator,
-                       lyapunov_closed_form)
+from .dynamics import Curve, MapParams, build_propagator, lyapunov_closed_form
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
@@ -14,6 +14,11 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
     """Steps for a Lyapunov-rate curve to reach saturation: ceil((ln N + 2)/lambda)."""
     lam = lyapunov_closed_form(params.a, params.b)
     return int(np.ceil((np.log(space.N) + 2.0) / lam))
+
+
+# States per block of averaged_le: a block's (2, m, N) buffer holds 2^16
+# complex values (1 MiB), so 8 states at N = 4096 and one from N = 2^15 up.
+_BLOCK_VALUES = 2**15
 
 
 def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
@@ -26,19 +31,39 @@ def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar:
             build_propagator(space, MapParams(params.a, params.b, k_prime)))
 
 
-def _echo_values(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
+def _stacked_phases(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
+                    t_max: int):
+    """The pair's kick and kinetic phases, each as one (2, 1, N) array: row 0
+    is k, row 1 is k'.  The Propagators are dropped once copied."""
+    pair = _propagator_pair(space, params, sigma_over_hbar, t_max)
+    kick = np.stack([prop.kick_phases for prop in pair])[:, None, :]
+    kinetic = np.stack([prop.kinetic_phases for prop in pair])[:, None, :]
+    return kick, kinetic
+
+
+def _echo_values(phi: np.ndarray, kick: np.ndarray, kinetic: np.ndarray,
                  t_max: int) -> np.ndarray:
-    """M(t) for t = 0..t_max; both branches advance one application per step."""
-    if psi0.shape[0] != prop.space.N:
-        raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {prop.space.N}")
-    values = np.empty(t_max + 1)
-    values[0] = abs(np.vdot(psi0, psi0)) ** 2
-    phi = psi0
-    phi_pert = psi0
+    """M(t) for t = 0..t_max of each state of a block, as an (m, t_max + 1)
+    array.  phi is a (2, m, N) buffer whose row 0 holds the block's initial
+    states on entry; it is overwritten.
+
+    Both branches of every state advance together in place, k in row 0 and
+    k' in row 1: a kick, one forward FFT, the kinetic phases and one inverse
+    FFT per step.  The operations and their operand order are
+    apply_propagator's, so each value is bitwise the one-state,
+    two-application oracle's (selftest.echo_values_direct).
+    """
+    m = phi.shape[1]
+    values = np.empty((m, t_max + 1))
+    values[:, 0] = [abs(np.vdot(row, row)) ** 2 for row in phi[0]]
+    phi[1] = phi[0]
     for t in range(1, t_max + 1):
-        phi = apply_propagator(phi, prop)
-        phi_pert = apply_propagator(phi_pert, prop_pert)
-        values[t] = abs(np.vdot(phi_pert, phi)) ** 2
+        np.multiply(kick, phi, out=phi)
+        phi = sfft.fft(phi, norm="ortho", overwrite_x=True)
+        np.multiply(kinetic, phi, out=phi)
+        phi = sfft.ifft(phi, norm="ortho", overwrite_x=True)
+        for i in range(m):
+            values[i, t] = abs(np.vdot(phi[1, i], phi[0, i])) ** 2
     return values
 
 
@@ -48,8 +73,12 @@ def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
 
     Both branches advance one application per step; cost O(t_max * N log N).
     """
-    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
-    return Curve(_echo_values(psi0, prop, prop_pert, t_max))
+    if psi0.shape != (space.N,):
+        raise ValueError(f"state shape {psi0.shape} != ({space.N},), the space dimension")
+    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    phi = np.empty((2, 1, space.N), dtype=np.complex128)
+    phi[0, 0] = psi0
+    return Curve(_echo_values(phi, kick, kinetic, t_max)[0])
 
 
 def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
@@ -62,11 +91,20 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
                 t_max: int, n_states: int, seed: int) -> Curve:
     """Mean echo over n_states coherent states; summation in state-index
     order, so results are bitwise reproducible for fixed (seed, n_states).
-    The propagator pair is built once for all states."""
+    The propagator pair is built once for all states, which advance in
+    blocks of max(1, _BLOCK_VALUES // N) through one reused buffer."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
+    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    centers = ensemble_centers(seed, n_states)
+    block = min(n_states, max(1, _BLOCK_VALUES // space.N))
+    phi = np.empty((2, block, space.N), dtype=np.complex128)
     acc = np.zeros(t_max + 1)
-    for q0, p0 in ensemble_centers(seed, n_states):
-        acc += _echo_values(coherent_state(space, q0, p0), prop, prop_pert, t_max)
+    for start in range(0, n_states, block):
+        rows = centers[start:start + block]
+        states = phi[:, :len(rows)]
+        for i, (q0, p0) in enumerate(rows):
+            states[0, i] = coherent_state(space, q0, p0)
+        for row in _echo_values(states, kick, kinetic, t_max):
+            acc += row
     return Curve(acc / n_states)

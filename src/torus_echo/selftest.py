@@ -3,9 +3,10 @@ construction.  Used by the CLI selftest mode and mirrored in the test suite.
 
 The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
-(propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct) and the
-literal Lorentz image sum (lorentz_kernel_direct).  At k = 0 the chord orbit
-(chord_orbit_purity) gives purity_curve's values at production N.
+(propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
+literal Lorentz image sum (lorentz_kernel_direct) and the one-state echo
+loop (echo_values_direct).  At k = 0 the chord orbit (chord_orbit_purity)
+gives purity_curve's values at production N.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from .dynamics import (
     lyapunov_closed_form,
     lyapunov_numeric,
 )
+from .echo import _propagator_pair, averaged_le, ensemble_centers
 from .hilbert import SpaceDescriptor, chord_to_rho, coherent_state, make_space, purity, rho_to_chord
 
 
@@ -98,6 +100,30 @@ def apply_decoherence_direct(rho: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             T = translation_matrix(space, q, p)
             out += w * (T @ rho @ T.conj().T)
     return out
+
+
+def echo_values_direct(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator,
+                       t_max: int) -> np.ndarray:
+    """M(t) for t = 0..t_max of one state, each branch advanced by its own
+    apply_propagator call per step; oracle for echo._echo_values."""
+    values = np.empty(t_max + 1)
+    values[0] = abs(np.vdot(psi0, psi0)) ** 2
+    phi = phi_pert = psi0
+    for t in range(1, t_max + 1):
+        phi = apply_propagator(phi, prop)
+        phi_pert = apply_propagator(phi_pert, prop_pert)
+        values[t] = abs(np.vdot(phi_pert, phi)) ** 2
+    return values
+
+
+def direct_averaged_le(space, params, sigma_over_hbar, t_max, n_states, seed):
+    """averaged_le's mean, one echo_values_direct curve per state, summed in
+    state order."""
+    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
+    acc = np.zeros(t_max + 1)
+    for q0, p0 in ensemble_centers(seed, n_states):
+        acc += echo_values_direct(coherent_state(space, q0, p0), prop, prop_pert, t_max)
+    return acc / n_states
 
 
 def _random_density(N, rng):
@@ -240,6 +266,18 @@ def check_chord_orbit(N=24, t_max=6):
     return worst, 1e-12
 
 
+def check_echo_blocks(t_max=12):
+    """averaged_le, whose states advance in blocks, against one state at a
+    time through apply_propagator; the 9 states cross a block edge at N = 4096."""
+    worst = 0.0
+    for N in (64, 4096):
+        space, params = make_space(N), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 2.5, t_max, n_states=9, seed=5).values
+        expected = direct_averaged_le(space, params, 2.5, t_max, 9, 5)
+        worst = max(worst, float(np.max(np.abs(got - expected))))
+    return worst, 5e-324  # the smallest double: equal bitwise or fail
+
+
 def check_multiplier_against_double_sum(N=8, seed=6):
     kernel = random_symmetric_kernel(N, seed)
     chat = chord_multiplier(kernel)
@@ -317,6 +355,7 @@ ALL_CHECKS = [
     ("parseval-purity", check_parseval_purity),
     ("propagator-vs-matrix", check_propagator_matrix),
     ("density-conjugation", check_density_conjugation),
+    ("echo-blocks-vs-one-state", check_echo_blocks),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
     ("purity-step-vs-composition", check_purity_step),
     ("purity-vs-chord-orbit", check_chord_orbit),

@@ -314,6 +314,22 @@ class TestMain:
         assert f"'{line.split()[0]}'" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("argv, message", [(["bogus"], "invalid choice: 'bogus'"),
+                                               (["le-curve"], "mode 'le-curve' requires --config"),
+                                               (["le-sweep", "--config"], "expected one argument")])
+    def test_usage_error_exit_code(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: torus-echo") and "torus-echo: error: " in err and message in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: torus-echo" in capsys.readouterr().out
+
     def test_missing_config_file(self):
         assert main(["le-curve", "--config", "/nonexistent/conf"]) == EXIT_CONFIG
 

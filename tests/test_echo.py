@@ -10,6 +10,7 @@ from torus_echo.echo import (
     le_curve,
 )
 from torus_echo.hilbert import coherent_state, make_space
+from torus_echo.selftest import direct_averaged_le, echo_values_direct
 
 
 class TestPerturbation:
@@ -94,14 +95,16 @@ class TestAveragedLe:
         assert not np.array_equal(a.values, b.values)
 
     def test_mean_of_individual_curves(self):
-        # fixed summation order: averaged curve is the exact mean
+        # fixed summation order: averaged curve is the exact mean of the
+        # one-state oracle's curves
         space = make_space(64)
         params = MapParams(2, 2, 0.0002)
         n = 5
         avg = averaged_le(space, params, 2.5, 8, n_states=n, seed=7)
+        prop, prop_pert = _propagator_pair(space, params, 2.5, 8)
         acc = np.zeros(9)
         for q0, p0 in ensemble_centers(7, n):
-            acc += le_curve(coherent_state(space, q0, p0), space, params, 2.5, 8).values
+            acc += echo_values_direct(coherent_state(space, q0, p0), prop, prop_pert, 8)
         assert np.max(np.abs(avg.values - acc / n)) < 1e-12
 
     def test_propagator_pair_built_once(self, monkeypatch):
@@ -121,6 +124,36 @@ class TestAveragedLe:
     def test_centers_prefix_stable(self):
         # substreams are per-state: first centers unchanged by ensemble growth
         assert np.array_equal(ensemble_centers(11, 3), ensemble_centers(11, 5)[:3])
+
+
+class TestBlockKernel:
+    """The blocked in-place step against the one-state, two-application
+    oracle: the same operations in the same order, so equal bitwise."""
+
+    @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("N", [64, 256, 4096, 1000])
+    def test_averaged_le_equals_oracle_bitwise(self, N, n_states):
+        # 8 states per block at N = 4096, 2^15 // 1000 = 32 at N = 1000
+        space, params = make_space(N), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
+        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+
+    @pytest.mark.parametrize("N", [64, 1000])
+    def test_le_curve_equals_oracle_bitwise(self, N):
+        space, params = make_space(N), MapParams(2, 4, 0.001)
+        psi = coherent_state(space, 0.6, 0.25)
+        prop, prop_pert = _propagator_pair(space, params, 3.0, 15)
+        assert np.array_equal(le_curve(psi, space, params, 3.0, 15).values,
+                              echo_values_direct(psi, prop, prop_pert, 15))
+
+    def test_zero_sigma_stays_at_one_across_blocks(self):
+        curve = averaged_le(make_space(4096), MapParams(2, 2, 0.0002), 0.0, 10, n_states=9, seed=2)
+        assert np.max(np.abs(curve.values - 1.0)) < 1e-12
+
+    def test_state_dimension_checked(self):
+        space = make_space(64)
+        with pytest.raises(ValueError, match="space dimension"):
+            le_curve(coherent_state(make_space(32), 0.2, 0.2), space, MapParams(2, 2), 1.0, 5)
 
 
 def test_default_t_max_reaches_saturation():

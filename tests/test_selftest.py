@@ -9,6 +9,7 @@ from torus_echo.selftest import ALL_CHECKS, run_selftest
 
 ORACLE_NAMES = ("translate", "translation_matrix", "propagator_matrix",
                 "apply_decoherence_direct", "lorentz_kernel_direct",
+                "echo_values_direct", "direct_averaged_le",
                 "dft_position_to_momentum", "dft_momentum_to_position", "loglog_slope")
 
 
@@ -28,10 +29,10 @@ def test_oracles_stay_out_of_the_runtime_modules():
     # a fresh interpreter: this process has imported selftest already; the
     # CLI imports it only to run the selftest mode
     probe = ("import sys, torus_echo\n"
-             "from torus_echo import analysis, cli, decoherence, dynamics, hilbert\n"
+             "from torus_echo import analysis, cli, decoherence, dynamics, echo, hilbert\n"
              "print('torus_echo.selftest' in sys.modules)\n"
              f"print(sorted(n for n in {ORACLE_NAMES!r} for m in "
-             "(torus_echo, analysis, decoherence, dynamics, hilbert) if hasattr(m, n)))\n")
+             "(torus_echo, analysis, decoherence, dynamics, echo, hilbert) if hasattr(m, n)))\n")
     src = os.path.dirname(os.path.dirname(torus_echo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
