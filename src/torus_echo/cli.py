@@ -28,6 +28,8 @@ error, 3 resource refusal.
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -35,6 +37,8 @@ from pathlib import Path
 from typing import Optional, get_args
 
 import numpy as np
+import scipy
+import scipy.fft as sfft
 
 from . import __version__
 from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, _prediction_for,
@@ -197,9 +201,9 @@ def _check_memory(config: RunConfig):
         working_set = 5.5 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
             # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
-            # dist_sq, -t * dist_sq and its exp.  Peak RSS grows by 3.0 such
-            # arrays from x = 5000 to 10^4 at N = 800 (241.5 -> 424.7 MiB).
-            working_set += 3 * 8 * (2 * config.image_cutoff + 1) * N
+            # dist_sq and the reused exp buffer.  Peak RSS grows by 2.0 such
+            # arrays from x = 5000 to 10^4 at N = 800 (193.0 -> 315.4 MiB).
+            working_set += 2 * 8 * (2 * config.image_cutoff + 1) * N
     elif config.mode in ECHO_MODES:
         # 16 complex vectors.  From N = 2^15 a block is one state: its (2, 1, N)
         # buffer and the pair's stacked phases (2 + 2), with the Propagators
@@ -257,6 +261,19 @@ def _sweep(config: RunConfig) -> list:
                         floor_factor=config.floor_factor)
 
 
+def _environment() -> dict:
+    """The numeric environment a run's timings and last bits depend on."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        nproc = os.cpu_count()
+    # scipy.fft resolves the purity step's workers=-1 to os.cpu_count(); the
+    # echo step runs at scipy's default worker count.
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "nproc": nproc,
+            "fft_workers": {"purity": os.cpu_count(), "echo": sfft.get_workers()}}
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured run; returns the process exit code.
 
@@ -269,8 +286,8 @@ def run(config: RunConfig) -> int:
     started = time.time()
     row_status = []
     outputs = []
-    manifest = {"version": __version__, "config": asdict(config), "duration_seconds": None,
-                "rows": row_status, "outputs": outputs}
+    manifest = {"version": __version__, "config": asdict(config), "environment": _environment(),
+                "duration_seconds": None, "rows": row_status, "outputs": outputs}
     try:
         if config.mode == "predict":
             lines = ["control,prediction"]

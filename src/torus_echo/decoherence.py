@@ -44,6 +44,7 @@ from .hilbert import SpaceDescriptor, _cyclic_diagonals, chord_to_rho, purity, r
 
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
+_EXP_UNDERFLOW = 746.0  # exp(-746.0) == 0.0 in double precision
 
 
 def _centered_offsets(N: int) -> np.ndarray:
@@ -120,8 +121,21 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     1/lam = int exp(-t*lam) dt, which factorizes the (j,k) double sum into
     products of one-dimensional truncated theta sums per quadrature node t_i:
     raw = theta^T diag(w) theta, one GEMM over the (n_nodes, N) theta sums,
-    w_i = t_weight_i * s * exp(-t_i s^2).  theta is filled node by node; all
-    nodes at once would need an (n_nodes, 2x+1, N) temporary, 450 MB at N=800.
+    w_i = t_weight_i * s * exp(-t_i s^2).
+
+    theta is filled node by node in one reused (2x+1, N) buffer, beside the
+    squared image distances dist_sq: all nodes at once would need an
+    (n_nodes, 2x+1, N) temporary, 450 MB at N=800, and two fresh temporaries
+    per node cost ~210k page faults in a fresh process at N=800.  At node t
+    only the band of image rows with t * min(dist_sq[row]) < 746 is
+    evaluated.  That band is contiguous, since an image row's nearest grid
+    point gets farther on both sides of the m = 0 row.  Every row outside it
+    is exp(-746) or less, which is exactly 0.0 in double precision.  The
+    axis-0 sum adds rows one after another, and adding 0.0 to a positive sum
+    changes no bit.  So the kernel is bitwise the full-band sum
+    (selftest.lorentz_kernel_full_band), with a third fewer exp calls at
+    N=800 and the default cutoff; those are the underflowing ones, which
+    take numpy's slow path.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -133,13 +147,21 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     offs = _centered_offsets(N)
     images = N * np.arange(-x, x + 1, dtype=float)
     dist_sq = (offs[None, :] - images[:, None]) ** 2      # (2x+1, N)
+    row_min = dist_sq.min(axis=1)
     lam_max = s * s + 2.0 * dist_sq.max()
     t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
     theta = np.empty((t_nodes.size, N))
+    buf = np.empty_like(dist_sq)
     with np.errstate(under="ignore"):
         for i, t in enumerate(t_nodes):
-            theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
+            live = np.flatnonzero(t * row_min < _EXP_UNDERFLOW)
+            lo, hi = live[0], live[-1] + 1
+            band = buf[:hi - lo]
+            np.multiply(dist_sq[lo:hi], -t, out=band)
+            np.exp(band, out=band)
+            band.sum(axis=0, out=theta[i])                # truncated 1D theta
         w = t_weights * s * np.exp(-t_nodes * s * s)
+    del dist_sq, buf, band  # free the (2x+1, N) arrays before the (N, N) GEMM and _finalize
     return _finalize(theta.T @ (w[:, None] * theta))
 
 

@@ -4,8 +4,9 @@ construction.  Used by the CLI selftest mode and mirrored in the test suite.
 The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
-literal Lorentz image sum (lorentz_kernel_direct) and the one-state echo
-loop (echo_values_direct).  At k = 0 the chord orbit (chord_orbit_purity)
+literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
+every image row (lorentz_kernel_full_band) and the one-state echo loop
+(echo_values_direct).  At k = 0 the chord orbit (chord_orbit_purity)
 gives purity_curve's values at production N.
 """
 
@@ -18,6 +19,7 @@ from .decoherence import (
     _centered_offsets,
     _diagonal_step,
     _finalize,
+    _lorentz_quadrature,
     apply_decoherence,
     chord_multiplier,
     depolarizing_kernel,
@@ -83,6 +85,26 @@ def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
         for vk in u_sq:
             raw += s / (s * s + uj[:, None] + vk[None, :])
     return _finalize(raw)
+
+
+def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
+                             image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
+    """lorentz_kernel with every image row evaluated at every node, in fresh
+    temporaries; the oracle, bitwise, of its live-band loop."""
+    N = space.N
+    x = int(image_cutoff)
+    s = epsilon * N / (2.0 * np.pi)
+    offs = _centered_offsets(N)
+    images = N * np.arange(-x, x + 1, dtype=float)
+    dist_sq = (offs[None, :] - images[:, None]) ** 2      # (2x+1, N)
+    lam_max = s * s + 2.0 * dist_sq.max()
+    t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
+    theta = np.empty((t_nodes.size, N))
+    with np.errstate(under="ignore"):
+        for i, t in enumerate(t_nodes):
+            theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
+        w = t_weights * s * np.exp(-t_nodes * s * s)
+    return _finalize(theta.T @ (w[:, None] * theta))
 
 
 def apply_decoherence_direct(rho: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -322,6 +344,14 @@ def check_lorentz_quadrature(N=16):
     return float(np.max(np.abs(fast - direct) / direct)), 1e-9
 
 
+def check_lorentz_band(N=64, s=0.02):
+    """lorentz_kernel against lorentz_kernel_full_band at a width far below
+    one grid cell, where most nodes skip all but a few image rows."""
+    space, eps = make_space(N), 2 * np.pi * s / N
+    fast, full = lorentz_kernel(space, eps), lorentz_kernel_full_band(space, eps)
+    return float(np.max(np.abs(fast - full))), 5e-324  # the smallest double: equal bitwise or fail
+
+
 def check_unitality(N=8):
     space = make_space(N)
     eye = np.eye(N, dtype=complex) / N
@@ -362,6 +392,7 @@ ALL_CHECKS = [
     ("chord-vs-kraus-sum", check_kraus_equivalence),
     ("depolarizing-closed-form", check_depolarizing_closed_form),
     ("lorentz-quadrature", check_lorentz_quadrature),
+    ("lorentz-band-vs-full-band", check_lorentz_band),
     ("unitality", check_unitality),
     ("identity-kernel", check_identity_kernel),
     ("lyapunov-numeric-vs-closed", check_lyapunov),

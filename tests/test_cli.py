@@ -1,8 +1,11 @@
 import json
+import os
+import platform
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
 import torus_echo.analysis
 from torus_echo.cli import (
@@ -224,9 +227,14 @@ class TestRun:
             _check_memory(RunConfig(mode="le-sweep", N=2**26))
 
     def test_lorentz_temporaries_charged(self):
-        # three float (2x + 1, N) arrays, 11.9 GiB each at x = 10^6, N = 800
+        # two float (2x + 1, N) arrays, 11.9 GiB each at x = 10^6, N = 800
         with pytest.raises(ResourceRefusal):
             _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=10**6))
+
+    def test_lorentz_cutoff_admitted_at_default_cap(self):
+        # two arrays at x = 3e5, N = 800: 7.2 GiB with the fused step; the
+        # limit is x ~ 333k, and three arrays would refuse from x ~ 222k
+        _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=300_000))
 
     def test_purity_working_set_admits_n8000_at_default_cap(self):
         # the fused step peaks near 5.2 complex N x N arrays; N = 10^4 needs ~8.2 GiB
@@ -246,6 +254,15 @@ class TestRun:
         manifest = json.loads((dest / "manifest.json").read_text())
         assert manifest["error"] == "RuntimeError: purity step failed"
         assert manifest["outputs"] == [] and manifest["config"]["N"] == 64
+
+    def test_manifest_records_environment(self, tmp_path):
+        cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])
+        assert run(cfg) == EXIT_OK
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["nproc"] == len(os.sched_getaffinity(0))
+        assert env["fft_workers"] == {"purity": os.cpu_count(), "echo": 1}
 
     def test_predict_mode(self, tmp_path):
         text = f"mode = predict\nN = 800\nmodel = dc\nepsilon = 0.01, 0.3\nout_dir = {tmp_path}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torus_echo.decoherence import (
+    _EXP_UNDERFLOW,
     apply_decoherence,
     build_kernel,
     chord_multiplier,
@@ -15,7 +16,7 @@ from torus_echo.decoherence import (
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
 from torus_echo.selftest import (apply_decoherence_direct, chord_orbit_purity, lorentz_kernel_direct,
-                                 random_symmetric_kernel)
+                                 lorentz_kernel_full_band, random_symmetric_kernel)
 
 from composition_oracle import assert_matches_composition
 from conftest import random_density
@@ -116,6 +117,25 @@ class TestLorentzKernel:
         fast = lorentz_kernel(space, eps, image_cutoff=30)
         direct = lorentz_kernel_direct(space, eps, image_cutoff=30)
         assert np.max(np.abs(fast - direct) / direct) < 1e-12
+
+    def test_skipped_image_rows_underflow_to_zero(self):
+        # rows past the live band hold exp(-t * d) with t * d >= the bound
+        assert np.exp(-_EXP_UNDERFLOW) == 0.0
+
+    @pytest.mark.parametrize("cutoff", [10, 100])
+    @pytest.mark.parametrize("eps", [0.0005, 0.0011])
+    @pytest.mark.parametrize("N", [800, 801])
+    def test_live_band_equals_full_band(self, N, eps, cutoff):
+        # the benchmark's epsilon and the top of criterion 9's grid
+        space = make_space(N)
+        assert np.array_equal(lorentz_kernel(space, eps, cutoff),
+                              lorentz_kernel_full_band(space, eps, cutoff))
+
+    @pytest.mark.slow
+    def test_live_band_equals_full_band_at_cutoff_1000(self):
+        space = make_space(800)
+        assert np.array_equal(lorentz_kernel(space, 0.0005, 1000),
+                              lorentz_kernel_full_band(space, 0.0005, 1000))
 
     @pytest.mark.slow
     def test_inverse_square_tail(self):
