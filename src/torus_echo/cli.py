@@ -192,13 +192,16 @@ def _check_memory(config: RunConfig):
     N = config.N
     working_set = 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
-        # The fused purity step's live N x N arrays, in complex128 units of
-        # 16 N^2 bytes: the diagonals d, their FFT and its gathered copy (<= 3),
-        # the step weights chat * conj(K) (1), and at half size the int64
-        # gather index, the real chord multiplier and the kernel weights (1.5).
-        # Peak RSS grows by about 5.2 such units: 68/70, 101/104 and
-        # 253/258 MiB for gdm/ldm at N = 400, 800 and 1600.
-        working_set = 5.5 * 16 * N ** 2
+        # The purity step's live arrays, in complex128 units of 16 N^2 bytes:
+        # the stacked half spectrum [c; conj(c[1:])] (1), the half diagonals d
+        # and the step weights (0.5 each), the kernel weights (0.5) and the
+        # int64 gather index (0.25); the chord multiplier (0.5) and rfft2's
+        # half spectrum live only while the step is built.  Peak RSS is
+        # 65.4/67.5, 91.5/94.8 and 194.2/199.8 MiB for gdm/ldm at N = 400,
+        # 800 and 1600, 55.1 MiB after import: it grows by 3.5/3.6 units from
+        # N = 800 to 1600, and lies 3.7/3.8 units above import at N = 800
+        # (ldm less its Lorentz term below).
+        working_set = 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
             # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
             # dist_sq and the reused exp buffer.  Peak RSS grows by 2.0 such

@@ -21,6 +21,14 @@ coefficients, (Q, P) -> (Q + b*P, P) up to a phase (Hannay & Berry,
 Physica D 1, 267 (1980)).  So one step D(U rho U^dag) is one forward and one
 inverse FFT pass over the diagonals, O(N^2 log N), for every kernel family.
 
+rho is Hermitian and the step maps Hermitian matrices to Hermitian matrices;
+for the chord function that is chi(-Q, -P) = conj(chi(Q, P)) (the Weyl
+symmetry; Ozorio de Almeida, Phys. Rep. 295, 265 (1998)).  So the step
+evolves only the rows Q = 0..N//2 of the diagonals.  A source row R > N//2
+of the shear is read as the conjugate of row N - R at column -P, times the
+phase exp(-2*pi*i*(N - R)*P/N), and the purity weighs each held row by the
+number of rows it stands for: 1 for rows 0 and N/2, 2 for the others.
+
 The step's oracle is apply_decoherence(apply_to_density(rho)), the same
 step one plain operation at a time; the selftest module holds the O(N^4)
 Kraus sum that checks apply_decoherence at small N.
@@ -198,19 +206,28 @@ def mixture_kernel(k1: np.ndarray, k2: np.ndarray, w: float) -> np.ndarray:
 
 
 def chord_multiplier(c: np.ndarray) -> np.ndarray:
-    """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N) via 2D DFT, a read-only
-    real (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1)."""
+    """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N), a read-only real
+    (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1).
+
+    One real 2-D FFT gives it.  F = rfft2(c) holds the columns v = 0..N//2 of
+    F[u, v] = sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), so chat[Q, P] is
+    F[-P, -Q] (indices mod N): the real part of F[-P, Q] for Q <= N//2, and of
+    F[P, N - Q] above, since F[u, v] = conj(F[-u, -v]) for a real c.  That
+    symmetry also makes the imaginary residue of the stored half the residue
+    of the whole spectrum.
+    """
     N = c.shape[0]
-    inner = N * sfft.ifft(c, axis=1)          # sum_p c[q,p] e^{+2 pi i p Q / N}
-    full = sfft.fft(inner, axis=0)            # sum_q ...  e^{-2 pi i q P / N}
-    values = full.T                            # index as [Q, P]
-    resid = np.max(np.abs(values.imag))
+    H = N // 2 + 1
+    F = sfft.rfft2(c, workers=-1)             # (N, H)
+    resid = np.max(np.abs(F.imag))
     if resid > _SYMMETRY_TOL:
         raise ValueError(
             f"kernel is not symmetric under (q,p) -> (-q,-p): imaginary "
             f"residue {resid:.3e} in the chord multiplier"
         )
-    out = np.ascontiguousarray(values.real)
+    out = np.empty((N, N))
+    out[:H] = F.real[-np.arange(N)].T         # Q = 0..N//2: F[-P, Q]
+    out[H:] = F.real[:, N - H:0:-1].T         # Q = N//2 + 1..N - 1: F[P, N - Q]
     out.setflags(write=False)
     return out
 
@@ -225,21 +242,36 @@ def apply_decoherence(rho: np.ndarray, chat: np.ndarray) -> np.ndarray:
     return chord_to_rho(chi)
 
 
-def _diagonal_step(prop: Propagator, chat: np.ndarray):
-    """step(d) -> d' for one rho' = D(U rho U^dag) on the cyclic diagonals
-    d[Q, j] = rho[(Q + j) % N, j]; see purity_curve.  step overwrites d."""
+def _diagonal_step(prop: Propagator, kernel: np.ndarray):
+    """step(d) -> d' for one rho' = D(U rho U^dag), D the channel of kernel, on
+    the rows Q = 0..N//2 of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j]
+    of a Hermitian rho; see purity_curve.  d is a C-contiguous complex
+    (N//2 + 1, N) array, and step overwrites it."""
     N, b = prop.space.N, prop.params.b
-    Q, P = np.ogrid[:N, :N]
-    gather = (Q - b * P) % N * N + P   # flat index of c[(Q - b*P) % N, P]
-    weights = chat * prop.kinetic_phases.conj()
-    kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases), prop.kick_phases.conj()
+    H = N // 2 + 1
+    weights = chord_multiplier(kernel)[:H] * prop.kinetic_phases.conj()
+    Q, P = np.ogrid[:H, :N]
+    R = (Q - b * P) % N                # the source row of c'[Q, P]
+    mq, mp = np.nonzero(R >= H)        # source rows held as their conjugate rows
+    mirror = N - R[mq, mp]
+    weights[mq, mp] *= np.exp(-2j * np.pi * np.arange(N) / N)[mirror * mp % N]
+    gather = R * N + P                 # flat index into stacked = [c; conj(c[1:])]
+    gather[mq, mp] = (H - 1 + mirror) * N + (-mp) % N
+    del R, mq, mp, mirror              # before the stacked buffer is allocated
+    kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases)[:H], prop.kick_phases.conj()
+    stacked = np.empty((2 * H - 1, N), dtype=np.complex128)
+    c, c_conj = stacked[:H], stacked[H:]
 
     def step(d):
-        d *= kick_rows
-        d *= kick_cols
-        c = sfft.fft(d, axis=1, workers=-1, overwrite_x=True).take(gather)
-        c *= weights
-        return sfft.ifft(c, axis=1, workers=-1, overwrite_x=True)
+        np.multiply(d, kick_rows, out=c)
+        np.multiply(c, kick_cols, out=c)
+        spectrum = sfft.fft(c, axis=1, workers=-1, overwrite_x=True)
+        if not np.may_share_memory(spectrum, c):  # scipy.fft copied, not in place
+            c[...] = spectrum
+        np.conjugate(c[1:], out=c_conj)
+        stacked.take(gather, out=d, mode="wrap")  # every index is in range
+        np.multiply(d, weights, out=d)
+        return sfft.ifft(d, axis=1, workers=-1, overwrite_x=True)
 
     return step
 
@@ -248,15 +280,25 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
                  t_max: int) -> Curve:
     """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
 
-    rho is held as its cyclic diagonals d[Q, j] = rho[(Q + j) % N, j], which
-    start as psi0[(Q + j) % N] * conj(psi0[j]).  d permutes the entries of
-    rho, so purity(d) = trace(rho^2).  One step, with K the kinetic phases,
-    chat the chord multiplier and c[Q, P] = exp(i*pi*Q*P/N) * chi(Q, P):
+    rho is held as the H = N//2 + 1 rows Q = 0..N//2 of its cyclic diagonals
+    d[Q, j] = rho[(Q + j) % N, j], which start as psi0[(Q + j) % N] *
+    conj(psi0[j]).  rho is Hermitian, and the step keeps it so, which on the
+    diagonals reads d[N - Q, j] = conj(d[Q, (j - Q) % N]): row N - Q is row Q
+    conjugated and shifted, so the H rows determine rho.  Rows 0 and, at even
+    N, N/2 are their own partners; every other row also stands for row N - Q.
+    So purity = sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight
+    2 on rows 1..ceil(N/2) - 1.  One step, with K the kinetic phases, chat the
+    chord multiplier and c[Q, P] = exp(i*pi*Q*P/N) * chi(Q, P):
 
       1. d[Q, j] *= kick[(Q + j) % N] * conj(kick[j])        (D rho D^dag)
-      2. c = fft(d, axis=1)
-      3. c'[Q, P] = chat[Q, P] * conj(K[P]) * c[(Q - b*P) % N, P]
+      2. c = fft(d, axis=1)                                   (rows 0..N//2)
+      3. c'[Q, P] = chat[Q, P] * conj(K[P]) * c[R, P],  R = (Q - b*P) % N
       4. d = ifft(c', axis=1)
+
+    In step 3 a source row R > N//2 is not held.  The diagonal symmetry gives
+    c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather
+    reads it from conj(c[1:]), stacked under c, at column -P, and the phase
+    is folded into the step weights chat * conj(K).
 
     Step 3 is the kinetic conjugation followed by the channel.  With F the
     unitary DFT (momentum = F position), rhot = F rho F^dag has entries
@@ -277,12 +319,13 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
         raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {N}")
     if kernel.shape != (N, N):
         raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
-    step = _diagonal_step(prop, chord_multiplier(kernel))
+    step = _diagonal_step(prop, kernel)
     psi = np.asarray(psi0, dtype=np.complex128)
-    d = _cyclic_diagonals(psi) * psi.conj()
+    d = _cyclic_diagonals(psi)[:N // 2 + 1] * psi.conj()
+    paired = slice(1, (N + 1) // 2)  # the rows that also stand for row N - Q
     values = np.empty(t_max + 1)
-    values[0] = purity(d)
+    values[0] = purity(d) + purity(d[paired])
     for t in range(1, t_max + 1):
         d = step(d)
-        values[t] = purity(d)
+        values[t] = purity(d) + purity(d[paired])
     return Curve(values)

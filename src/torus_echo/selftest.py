@@ -234,19 +234,27 @@ def cyclic_diagonals(rho):
     return rho[(j[:, None] + j) % j.size, j]
 
 
+def random_hermitian(N, rng):
+    """A random Hermitian N x N matrix, not necessarily positive."""
+    m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return m + m.conj().T
+
+
 def check_purity_step(seed=11):
     """One purity_curve step against apply_decoherence(apply_to_density(rho))
-    at odd and even N, a != b, k > 0, a random symmetric kernel and
-    non-Hermitian rho.  Compares matrices: a wrong shear direction or phase
-    can leave purities unchanged."""
+    at odd and even N, a != b, k > 0, a random symmetric kernel and a random
+    Hermitian rho, on the rows Q = 0..N//2 the step holds.  Compares matrices:
+    a wrong shear direction or phase can leave purities unchanged."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for N in (7, 8):
+        H = N // 2 + 1
         prop = build_propagator(make_space(N), MapParams(2, 4, 0.13))
-        chat = chord_multiplier(random_symmetric_kernel(N, seed))
-        rho = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        fused = _diagonal_step(prop, chat)(cyclic_diagonals(rho))
-        expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop), chat))
+        kernel = random_symmetric_kernel(N, seed)
+        rho = random_hermitian(N, rng)
+        fused = _diagonal_step(prop, kernel)(cyclic_diagonals(rho)[:H])
+        expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop),
+                                                      chord_multiplier(kernel)))[:H]
         worst = max(worst, float(np.max(np.abs(fused - expected))))
     return worst, 1e-12
 

@@ -237,10 +237,12 @@ class TestRun:
         _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=300_000))
 
     def test_purity_working_set_admits_n8000_at_default_cap(self):
-        # the fused step peaks near 5.2 complex N x N arrays; N = 10^4 needs ~8.2 GiB
+        # 4 complex N x N arrays, above the measured 3.5-3.8: N = 8000 needs
+        # 3.8 GiB, N = 11000 7.2 GiB and N = 12000 8.6 GiB
         _check_memory(RunConfig(mode="purity-sweep", N=8000))
+        _check_memory(RunConfig(mode="purity-sweep", N=11_000))
         with pytest.raises(ResourceRefusal):
-            _check_memory(RunConfig(mode="purity-sweep", N=10_000))
+            _check_memory(RunConfig(mode="purity-sweep", N=12_000))
 
     def test_manifest_written_when_run_fails(self, tmp_path, monkeypatch):
         def failing_curve(*args, **kwargs):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from torus_echo.decoherence import (
     _EXP_UNDERFLOW,
@@ -15,7 +16,8 @@ from torus_echo.decoherence import (
 )
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
-from torus_echo.selftest import (apply_decoherence_direct, chord_orbit_purity, lorentz_kernel_direct,
+from torus_echo.selftest import (apply_decoherence_direct, check_multiplier_against_double_sum,
+                                 chord_orbit_purity, lorentz_kernel_direct,
                                  lorentz_kernel_full_band, random_symmetric_kernel)
 
 from composition_oracle import assert_matches_composition
@@ -226,6 +228,12 @@ class TestChordMultiplier:
                 direct = np.sum(kernel * phases)
                 assert abs(chat[Q, P] - direct) < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 16, 17])
+    def test_against_double_sum_at_odd_and_even_n(self, N):
+        # the rows Q <= N//2 and the rest come from different halves of rfft2
+        err, tol = check_multiplier_against_double_sum(N, seed=N)
+        assert err < tol
+
     def test_asymmetric_kernel_rejected(self):
         N = 8
         rng = np.random.default_rng(0)
@@ -366,6 +374,25 @@ class TestDiagonalStep:
         prop = build_propagator(space, MapParams(2, 2, 0.01))
         assert_matches_composition(coherent_state(space, 0.31, 0.47), prop,
                                    build_kernel(space, tag, eps), 6)
+
+    def test_matches_composition_when_fft_copies(self, monkeypatch):
+        # the step keeps its forward FFT in place also if scipy.fft returns a copy
+        fft = scipy.fft.fft
+        monkeypatch.setattr(scipy.fft, "fft", lambda x, *args, **kwargs: fft(x.copy(), *args, **kwargs))
+        space = make_space(25)
+        assert_matches_composition(coherent_state(space, 0.31, 0.47),
+                                   build_propagator(space, MapParams(2, 4, 0.03)),
+                                   random_symmetric_kernel(25, seed=25), 4)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 4), (4, 2)])
+    def test_matches_composition_at_smallest_n(self, N, a, b):
+        # H = N//2 + 1 rows: at N = 1 and 2 every row is its own partner, and
+        # no shear source row lies above N//2 for N <= 2
+        space = make_space(N)
+        assert_matches_composition(coherent_state(space, 0.31, 0.47),
+                                   build_propagator(space, MapParams(a, b, 0.03)),
+                                   random_symmetric_kernel(N, seed=N), 5)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("N, a, b", [(800, 2, 2), (800, 4, 2), (800, 2, 4), (801, 2, 2)])
