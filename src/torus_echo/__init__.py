@@ -11,16 +11,12 @@ from .dynamics import (
     Curve,
     MapParams,
     Propagator,
-    classical_step,
     lyapunov_closed_form,
-    lyapunov_numeric,
     build_propagator,
-    apply_propagator,
 )
-from .echo import le_curve, averaged_le
+from .echo import averaged_le
 from .decoherence import (
     build_kernel,
-    identity_kernel,
     gaussian_kernel,
     depolarizing_kernel,
     lorentz_kernel,
@@ -43,10 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpaceDescriptor", "make_space", "coherent_state", "purity",
-    "Curve", "MapParams", "Propagator", "classical_step", "lyapunov_closed_form",
-    "lyapunov_numeric", "build_propagator", "apply_propagator",
-    "le_curve", "averaged_le",
-    "build_kernel", "identity_kernel",
+    "Curve", "MapParams", "Propagator", "lyapunov_closed_form", "build_propagator",
+    "averaged_le", "build_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",
     "mixture_kernel", "chord_multiplier", "purity_curve",
     "RateFit", "SweepRow", "FitError", "fit_decay_rate",

@@ -20,6 +20,7 @@ from .rng import substream
 DEFAULT_TRANSIENT_SKIP = 2
 DEFAULT_FLOOR_FACTOR = 3.0
 MIN_WINDOW_POINTS = 4
+RATE_MODELS = ("gdm", "dc")  # the models _prediction_for has a closed-form rate for
 
 
 class FitError(ValueError):

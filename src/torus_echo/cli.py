@@ -41,9 +41,9 @@ import scipy
 import scipy.fft as sfft
 
 from . import __version__
-from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, _prediction_for,
-                       sweep_echo, sweep_purity)
-from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF
+from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS,
+                       _prediction_for, sweep_echo, sweep_purity)
+from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
 from .dynamics import MapParams
 from .echo import default_echo_t_max
 from .hilbert import make_space
@@ -51,7 +51,6 @@ from .hilbert import make_space
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
 ECHO_MODES = ("le-curve", "le-sweep")
 PURITY_MODES = ("purity-curve", "purity-sweep")
-MODELS = ("gdm", "dc", "ldm", "mixture")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -161,8 +160,9 @@ def _validate(config: RunConfig) -> RunConfig:
             raise ConfigError(f"mode '{mode}' requires key 'model'")
         if config.model not in MODELS:
             raise ConfigError(f"key 'model' must be one of {', '.join(MODELS)}; got {config.model!r}")
-        if mode == "predict" and config.model not in ("gdm", "dc"):
-            raise ConfigError("mode 'predict' supports only models with analytic rates: gdm, dc")
+        if mode == "predict" and config.model not in RATE_MODELS:
+            raise ConfigError("mode 'predict' supports only models with analytic rates: "
+                              + ", ".join(RATE_MODELS))
         if config.model == "dc" and max(controls) > 1.0:
             raise ConfigError(f"key 'epsilon' entries must be <= 1 for model 'dc', got {max(controls)}")
         if not 0.0 <= config.mixture_weight <= 1.0:

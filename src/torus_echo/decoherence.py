@@ -50,6 +50,7 @@ import scipy.fft as sfft
 from .dynamics import Curve, Propagator
 from .hilbert import SpaceDescriptor, _cyclic_diagonals, chord_to_rho, purity, rho_to_chord
 
+MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
 _EXP_UNDERFLOW = 746.0  # exp(-746.0) == 0.0 in double precision
@@ -65,13 +66,6 @@ def _finalize(raw: np.ndarray) -> np.ndarray:
     weights = raw / raw.sum()
     weights.setflags(write=False)
     return weights
-
-
-def identity_kernel(space: SpaceDescriptor) -> np.ndarray:
-    """Point mass on the identity translation; D = id."""
-    raw = np.zeros((space.N, space.N))
-    raw[0, 0] = 1.0
-    return _finalize(raw)
 
 
 def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
@@ -217,6 +211,8 @@ def chord_multiplier(c: np.ndarray) -> np.ndarray:
     of the whole spectrum.
     """
     N = c.shape[0]
+    if c.shape != (N, N):
+        raise ValueError(f"kernel shape {c.shape} is not square")
     H = N // 2 + 1
     F = sfft.rfft2(c, workers=-1)             # (N, H)
     resid = np.max(np.abs(F.imag))
@@ -315,8 +311,8 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     N = prop.space.N
-    if psi0.shape[0] != N:
-        raise ValueError(f"state dimension {psi0.shape[0]} != space dimension {N}")
+    if psi0.shape != (N,):
+        raise ValueError(f"state shape {psi0.shape} != ({N},), the space dimension")
     if kernel.shape != (N, N):
         raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
     step = _diagonal_step(prop, kernel)

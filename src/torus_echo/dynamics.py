@@ -1,5 +1,5 @@
-"""Perturbed cat map: classical dynamics, Lyapunov exponents, and the
-quantized split-operator propagator.
+"""Perturbed cat map: the closed-form Lyapunov exponent and the quantized
+split-operator propagator.
 
 The classical map on the unit torus is
 
@@ -14,7 +14,7 @@ momentum and position bases respectively, with generating functions
     T(p) = -b*p^2/2
 
 so that p' = p - dV/dq, q' = q - dT/dp' reproduces the classical map.
-Applying U costs two FFTs per step.
+Applying U costs two FFTs per step.  The classical map is a selftest oracle.
 """
 
 from dataclasses import dataclass
@@ -23,15 +23,14 @@ import numpy as np
 import scipy.fft as sfft
 
 from .hilbert import SpaceDescriptor
-from .rng import substream
 
 
 @dataclass(frozen=True)
 class MapParams:
     """Cat-map integers a, b (even, positive) and shear amplitude k.
 
-    The closed-form Lyapunov exponent is trusted only for k << 1
-    (k <= 0.05 in practice); larger k is accepted but unvalidated.
+    The closed-form Lyapunov exponent is trusted only for k << 1 (k <= 0.05
+    in practice); a larger k is checked with selftest.lyapunov_numeric.
     """
 
     a: int
@@ -68,15 +67,6 @@ class Curve:
     values: np.ndarray
 
 
-def classical_step(point, params: MapParams):
-    """One iteration of the classical map; point is (q, p) in [0,1)^2."""
-    q, p = point
-    a, b, k = params.a, params.b, params.k
-    p1 = (p + a * q + 2.0 * np.pi * k * (np.cos(2 * np.pi * q) - np.cos(4 * np.pi * q))) % 1.0
-    q1 = (q + b * p1) % 1.0
-    return (q1, p1)
-
-
 def lyapunov_closed_form(a: int, b: int) -> float:
     """Largest Lyapunov exponent of the unperturbed map: the log of the
     leading eigenvalue of [[1, a], [b, 1 + a*b]]."""
@@ -84,34 +74,6 @@ def lyapunov_closed_form(a: int, b: int) -> float:
     if ab <= 0:
         raise ValueError(f"a*b must be positive, got a={a}, b={b}")
     return float(np.log((2.0 + ab + np.sqrt(ab * (4.0 + ab))) / 2.0))
-
-
-def _tangent_jacobian(q: float, params: MapParams):
-    """Jacobian of the map at q (independent of p); acts on (dq, dp)."""
-    g = params.a - 4.0 * np.pi**2 * params.k * (
-        np.sin(2 * np.pi * q) - 2.0 * np.sin(4 * np.pi * q)
-    )
-    b = params.b
-    return np.array([[1.0 + b * g, b], [g, 1.0]])
-
-
-def lyapunov_numeric(params: MapParams, n_iter: int = 100_000, seed: int = 0) -> float:
-    """Benettin estimate: average log growth of a tangent vector along a
-    trajectory from a seeded random start, renormalized each step."""
-    if n_iter < 10_000:
-        raise ValueError(f"n_iter must be >= 10^4 for a stable estimate, got {n_iter}")
-    rng = substream(seed, 11)  # fixed path reserved for lyapunov starts
-    q, p = rng.random(2)
-    v = np.array([1.0, 0.618])
-    v /= np.linalg.norm(v)
-    total = 0.0
-    for _ in range(n_iter):
-        v = _tangent_jacobian(q, params) @ v
-        growth = np.linalg.norm(v)
-        total += np.log(growth)
-        v /= growth
-        q, p = classical_step((q, p), params)
-    return total / n_iter
 
 
 def _reduced_quadratic_angle(N: int, c: int) -> np.ndarray:

@@ -77,17 +77,19 @@ def _cyclic_diagonals(x: np.ndarray) -> np.ndarray:
     return as_strided(doubled, (x.size, x.size), doubled.strides * 2, writeable=False)
 
 
-def rho_to_chord(rho: np.ndarray) -> np.ndarray:
-    """Chord coefficients chi(Q, P) = trace(T(Q,P)^dag rho).
+def cyclic_diagonals(rho: np.ndarray) -> np.ndarray:
+    """Copy of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j], purity_curve's layout."""
+    j = np.arange(rho.shape[0])
+    return rho[(j[:, None] + j) % j.size, j]
 
-    Computed with one length-N DFT per cyclic off-diagonal
-    d[Q, j] = rho[(Q + j) % N, j], O(N^2 log N).
-    """
+
+def rho_to_chord(rho: np.ndarray) -> np.ndarray:
+    """Chord coefficients chi(Q, P) = trace(T(Q,P)^dag rho), one length-N DFT
+    per row of cyclic_diagonals(rho), O(N^2 log N)."""
     N = rho.shape[0]
     if rho.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    j = np.arange(N)
-    chi = sfft.fft(rho[(j[:, None] + j) % N, j], axis=1, workers=-1)
+    chi = sfft.fft(cyclic_diagonals(rho), axis=1, workers=-1)
     chi *= _chord_phase(N)
     return chi
 

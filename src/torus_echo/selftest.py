@@ -5,8 +5,10 @@ The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
-every image row (lorentz_kernel_full_band) and the one-state echo loop
-(echo_values_direct).  At k = 0 the chord orbit (chord_orbit_purity)
+every image row (lorentz_kernel_full_band), the one-state echo loop
+(echo_values_direct), the identity channel (identity_kernel), and the
+classical map (classical_step) with the Benettin estimate of its Lyapunov
+exponent (lyapunov_numeric).  At k = 0 the chord orbit (chord_orbit_purity)
 gives purity_curve's values at production N.
 """
 
@@ -24,7 +26,6 @@ from .decoherence import (
     chord_multiplier,
     depolarizing_kernel,
     gaussian_kernel,
-    identity_kernel,
     lorentz_kernel,
     purity_curve,
 )
@@ -35,10 +36,11 @@ from .dynamics import (
     apply_to_density,
     build_propagator,
     lyapunov_closed_form,
-    lyapunov_numeric,
 )
 from .echo import _propagator_pair, averaged_le, ensemble_centers
-from .hilbert import SpaceDescriptor, chord_to_rho, coherent_state, make_space, purity, rho_to_chord
+from .hilbert import (SpaceDescriptor, chord_to_rho, coherent_state, cyclic_diagonals, make_space,
+                      purity, rho_to_chord)
+from .rng import substream
 
 
 def translate(state: np.ndarray, q: int, p: int) -> np.ndarray:
@@ -148,7 +150,52 @@ def direct_averaged_le(space, params, sigma_over_hbar, t_max, n_states, seed):
     return acc / n_states
 
 
-def _random_density(N, rng):
+def classical_step(point, params: MapParams):
+    """One iteration of the classical map; point is (q, p) in [0,1)^2."""
+    q, p = point
+    a, b, k = params.a, params.b, params.k
+    p1 = (p + a * q + 2.0 * np.pi * k * (np.cos(2 * np.pi * q) - np.cos(4 * np.pi * q))) % 1.0
+    q1 = (q + b * p1) % 1.0
+    return (q1, p1)
+
+
+def _tangent_jacobian(q: float, params: MapParams):
+    """Jacobian of the map at q (independent of p); acts on (dq, dp)."""
+    g = params.a - 4.0 * np.pi**2 * params.k * (
+        np.sin(2 * np.pi * q) - 2.0 * np.sin(4 * np.pi * q)
+    )
+    b = params.b
+    return np.array([[1.0 + b * g, b], [g, 1.0]])
+
+
+def lyapunov_numeric(params: MapParams, n_iter: int = 100_000, seed: int = 0) -> float:
+    """Benettin estimate: average log growth of a tangent vector along a
+    trajectory from a seeded random start, renormalized each step."""
+    if n_iter < 10_000:
+        raise ValueError(f"n_iter must be >= 10^4 for a stable estimate, got {n_iter}")
+    rng = substream(seed, 11)  # fixed path reserved for lyapunov starts
+    q, p = rng.random(2)
+    v = np.array([1.0, 0.618])
+    v /= np.linalg.norm(v)
+    total = 0.0
+    for _ in range(n_iter):
+        v = _tangent_jacobian(q, params) @ v
+        growth = np.linalg.norm(v)
+        total += np.log(growth)
+        v /= growth
+        q, p = classical_step((q, p), params)
+    return total / n_iter
+
+
+def identity_kernel(space: SpaceDescriptor) -> np.ndarray:
+    """Point mass on the identity translation; D = id."""
+    raw = np.zeros((space.N, space.N))
+    raw[0, 0] = 1.0
+    return _finalize(raw)
+
+
+def random_density(N, rng):
+    """Random full-rank density matrix."""
     m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
@@ -172,7 +219,7 @@ def check_translation_algebra(N=6):
 
 def check_chord_roundtrip(N=8, seed=3):
     rng = np.random.default_rng(seed)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     back = chord_to_rho(rho_to_chord(rho))
     return float(np.max(np.abs(back - rho))), 1e-12
 
@@ -180,7 +227,7 @@ def check_chord_roundtrip(N=8, seed=3):
 def check_chord_against_traces(N=8, seed=4):
     rng = np.random.default_rng(seed)
     space = make_space(N)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     chi = rho_to_chord(rho)
     worst = 0.0
     for Q in range(N):
@@ -192,7 +239,7 @@ def check_chord_against_traces(N=8, seed=4):
 
 def check_parseval_purity(N=8, seed=5):
     rng = np.random.default_rng(seed)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     chi = rho_to_chord(rho)
     return float(abs(purity(rho) - np.sum(np.abs(chi) ** 2) / N)), 1e-10
 
@@ -226,12 +273,6 @@ def random_symmetric_kernel(N, seed):
     raw = rng.random((N, N))
     sym = 0.5 * (raw + np.roll(np.roll(raw[::-1, ::-1], 1, axis=0), 1, axis=1))
     return sym / sym.sum()
-
-
-def cyclic_diagonals(rho):
-    """d[Q, j] = rho[(Q + j) % N, j], the layout purity_curve evolves."""
-    j = np.arange(rho.shape[0])
-    return rho[(j[:, None] + j) % j.size, j]
 
 
 def random_hermitian(N, rng):
@@ -323,7 +364,7 @@ def check_multiplier_against_double_sum(N=8, seed=6):
 def check_kraus_equivalence(N=8, seed=7):
     rng = np.random.default_rng(seed)
     space = make_space(N)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     worst = 0.0
     for kernel in (gaussian_kernel(space, 0.5), depolarizing_kernel(space, 0.3),
                    lorentz_kernel(space, 0.5, image_cutoff=30)):
@@ -337,7 +378,7 @@ def check_depolarizing_closed_form(N=8, seed=8):
     """D(rho) = (1-w) rho + w I/N with w = eps N^2/(N^2-1)."""
     rng = np.random.default_rng(seed)
     space = make_space(N)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     eps = 0.37
     out = apply_decoherence(rho, chord_multiplier(depolarizing_kernel(space, eps)))
     w = eps * N * N / (N * N - 1.0)
@@ -370,7 +411,7 @@ def check_unitality(N=8):
 def check_identity_kernel(N=8, seed=9):
     rng = np.random.default_rng(seed)
     space = make_space(N)
-    rho = _random_density(N, rng)
+    rho = random_density(N, rng)
     out = apply_decoherence(rho, chord_multiplier(identity_kernel(space)))
     return float(np.max(np.abs(out - rho))), 1e-12
 

@@ -10,8 +10,8 @@ from torus_echo.decoherence import (
     purity_curve,
 )
 from torus_echo.dynamics import apply_to_density
-from torus_echo.hilbert import purity
-from torus_echo.selftest import cyclic_diagonals, random_hermitian
+from torus_echo.hilbert import cyclic_diagonals, purity
+from torus_echo.selftest import random_hermitian
 
 
 def composed_steps(rho, prop, kernel, t_max):

@@ -9,13 +9,6 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def random_density(N, rng):
-    """Random full-rank density matrix."""
-    m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho)
-
-
 def loglog_slope(controls: Sequence[float], gammas: Sequence[float]) -> float:
     """Least-squares slope of log(gamma) against log(control)."""
     x = np.log(np.asarray(controls, dtype=float))

@@ -34,7 +34,6 @@ from torus_echo.dynamics import (
     apply_propagator,
     build_propagator,
     lyapunov_closed_form,
-    lyapunov_numeric,
 )
 from torus_echo.hilbert import (
     coherent_state,
@@ -42,9 +41,10 @@ from torus_echo.hilbert import (
     purity,
     rho_to_chord,
 )
-from torus_echo.selftest import apply_decoherence_direct, propagator_matrix, translate
+from torus_echo.selftest import (apply_decoherence_direct, lyapunov_numeric, propagator_matrix,
+                                 random_density, translate)
 
-from conftest import loglog_slope, random_density, random_state
+from conftest import loglog_slope, random_state
 
 LAMBDA_22 = lyapunov_closed_form(2, 2)   # ln(3 + 2 sqrt 2)
 LAMBDA_44 = lyapunov_closed_form(4, 4)   # ln(9 + 4 sqrt 5)

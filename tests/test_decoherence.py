@@ -9,7 +9,6 @@ from torus_echo.decoherence import (
     chord_multiplier,
     depolarizing_kernel,
     gaussian_kernel,
-    identity_kernel,
     lorentz_kernel,
     mixture_kernel,
     purity_curve,
@@ -17,11 +16,11 @@ from torus_echo.decoherence import (
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
 from torus_echo.selftest import (apply_decoherence_direct, check_multiplier_against_double_sum,
-                                 chord_orbit_purity, lorentz_kernel_direct,
-                                 lorentz_kernel_full_band, random_symmetric_kernel)
+                                 chord_orbit_purity, identity_kernel, lorentz_kernel_direct,
+                                 lorentz_kernel_full_band, random_density,
+                                 random_symmetric_kernel)
 
 from composition_oracle import assert_matches_composition
-from conftest import random_density
 
 
 def kernel_symmetry_error(weights):
@@ -240,6 +239,8 @@ class TestChordMultiplier:
         raw = rng.random((N, N))
         with pytest.raises(ValueError):
             chord_multiplier(raw / raw.sum())
+        with pytest.raises(ValueError, match="not square"):
+            chord_multiplier(np.full((N, 6), 1.0 / (6 * N)))
 
 
 class TestApplyDecoherence:
@@ -362,6 +363,8 @@ class TestPurityCurve:
             purity_curve(other, self.prop, gaussian_kernel(self.space, 0.3), 5)
         with pytest.raises(ValueError):
             purity_curve(self.psi, self.prop, gaussian_kernel(make_space(32), 0.3), 5)
+        with pytest.raises(ValueError, match="state shape"):
+            purity_curve(self.psi[:, None], self.prop, gaussian_kernel(self.space, 0.3), 5)
 
 
 FAMILIES_AT_N800 = [("gdm", 0.5 * 2 * np.pi / 800), ("dc", 0.05), ("ldm", 0.0005), ("mixture", 0.02)]

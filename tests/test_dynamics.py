@@ -6,14 +6,12 @@ from torus_echo.dynamics import (
     apply_propagator,
     apply_to_density,
     build_propagator,
-    classical_step,
     lyapunov_closed_form,
-    lyapunov_numeric,
 )
 from torus_echo.hilbert import coherent_state, make_space, purity
-from torus_echo.selftest import propagator_matrix
+from torus_echo.selftest import classical_step, lyapunov_numeric, propagator_matrix, random_density
 
-from conftest import random_density, random_state
+from conftest import random_state
 
 
 class TestClassicalStep:

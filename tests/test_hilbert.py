@@ -9,9 +9,9 @@ from torus_echo.hilbert import (
     purity,
     rho_to_chord,
 )
-from torus_echo.selftest import translate, translation_matrix
+from torus_echo.selftest import random_density, translate, translation_matrix
 
-from conftest import random_density, random_state
+from conftest import random_state
 
 
 class TestMakeSpace:
