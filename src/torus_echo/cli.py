@@ -37,8 +37,6 @@ from pathlib import Path
 from typing import Optional, get_args
 
 import numpy as np
-import scipy
-import scipy.fft as sfft
 
 from . import __version__
 from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS,
@@ -197,23 +195,23 @@ def _check_memory(config: RunConfig):
         # and the step weights (0.5 each), the kernel weights (0.5) and the
         # int64 gather index (0.25); the chord multiplier (0.5) and rfft2's
         # half spectrum live only while the step is built.  Peak RSS is
-        # 65.4/67.5, 91.5/94.8 and 194.2/199.8 MiB for gdm/ldm at N = 400,
-        # 800 and 1600, 55.1 MiB after import: it grows by 3.5/3.6 units from
+        # 45.1/47.2, 71.1/74.5 and 173.6/179.0 MiB for gdm/ldm at N = 400,
+        # 800 and 1600, 34.7 MiB after import: it grows by 3.5/3.6 units from
         # N = 800 to 1600, and lies 3.7/3.8 units above import at N = 800
         # (ldm less its Lorentz term below).
         working_set = 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
             # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
             # dist_sq and the reused exp buffer.  Peak RSS grows by 2.0 such
-            # arrays from x = 5000 to 10^4 at N = 800 (193.0 -> 315.4 MiB).
+            # arrays from x = 5000 to 10^4 at N = 800 (160.6 -> 283.5 MiB).
             working_set += 2 * 8 * (2 * config.image_cutoff + 1) * N
     elif config.mode in ECHO_MODES:
         # 16 complex vectors.  From N = 2^15 a block is one state: its (2, 1, N)
         # buffer and the pair's stacked phases (2 + 2), with the Propagators
         # or coherent_state's temporaries on top at the peak.  A one-state
-        # le-curve's peak RSS grows by 176 B per N at both N = 2^20 and 2^22
-        # (56.5 -> 232.6 and 760.9 MiB); below 2^15 the block buffer is a
-        # fixed 1 MiB.
+        # le-curve's peak RSS grows by 176-178 B per N at both N = 2^20 and
+        # 2^22 (34.7 MiB after import -> 212.4 and 740.5 MiB); below 2^15 the
+        # block buffer is a fixed 1 MiB.
         working_set = 16 * 16 * N
     cap = config.memory_cap_gib * 2**30
     if working_set > cap:
@@ -270,11 +268,7 @@ def _environment() -> dict:
         nproc = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         nproc = os.cpu_count()
-    # scipy.fft resolves the purity step's workers=-1 to os.cpu_count(); the
-    # echo step runs at scipy's default worker count.
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "nproc": nproc,
-            "fft_workers": {"purity": os.cpu_count(), "echo": sfft.get_workers()}}
+    return {"python": platform.python_version(), "numpy": np.__version__, "nproc": nproc}
 
 
 def run(config: RunConfig) -> int:

@@ -45,7 +45,6 @@ grid point, which keeps c(q,p) = c(-q,-p) exact under truncation.
 """
 
 import numpy as np
-import scipy.fft as sfft
 
 from .dynamics import Curve, Propagator
 from .hilbert import SpaceDescriptor, _cyclic_diagonals, chord_to_rho, purity, rho_to_chord
@@ -214,7 +213,7 @@ def chord_multiplier(c: np.ndarray) -> np.ndarray:
     if c.shape != (N, N):
         raise ValueError(f"kernel shape {c.shape} is not square")
     H = N // 2 + 1
-    F = sfft.rfft2(c, workers=-1)             # (N, H)
+    F = np.fft.rfft2(c)                       # (N, H)
     resid = np.max(np.abs(F.imag))
     if resid > _SYMMETRY_TOL:
         raise ValueError(
@@ -261,13 +260,11 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     def step(d):
         np.multiply(d, kick_rows, out=c)
         np.multiply(c, kick_cols, out=c)
-        spectrum = sfft.fft(c, axis=1, workers=-1, overwrite_x=True)
-        if not np.may_share_memory(spectrum, c):  # scipy.fft copied, not in place
-            c[...] = spectrum
+        np.fft.fft(c, axis=1, out=c)
         np.conjugate(c[1:], out=c_conj)
         stacked.take(gather, out=d, mode="wrap")  # every index is in range
         np.multiply(d, weights, out=d)
-        return sfft.ifft(d, axis=1, workers=-1, overwrite_x=True)
+        return np.fft.ifft(d, axis=1, out=d)
 
     return step
 

@@ -20,7 +20,6 @@ Applying U costs two FFTs per step.  The classical map is a selftest oracle.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .hilbert import SpaceDescriptor
 
@@ -105,8 +104,8 @@ def apply_propagator(state: np.ndarray, prop: Propagator) -> np.ndarray:
     states, O(N log N) per state."""
     if state.shape[-1] != prop.space.N:
         raise ValueError(f"state dimension {state.shape[-1]} != space dimension {prop.space.N}")
-    out = sfft.fft(prop.kick_phases * state, norm="ortho")
-    return sfft.ifft(prop.kinetic_phases * out, norm="ortho")
+    out = np.fft.fft(prop.kick_phases * state, norm="ortho")
+    return np.fft.ifft(prop.kinetic_phases * out, norm="ortho")
 
 
 def apply_to_density(rho: np.ndarray, prop: Propagator) -> np.ndarray:

@@ -3,7 +3,6 @@ averages over uniformly drawn coherent states.  The perturbation is its
 rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N)."""
 
 import numpy as np
-import scipy.fft as sfft
 
 from .dynamics import Curve, MapParams, build_propagator, lyapunov_closed_form
 from .hilbert import SpaceDescriptor, coherent_state
@@ -59,9 +58,9 @@ def _echo_values(phi: np.ndarray, kick: np.ndarray, kinetic: np.ndarray,
     phi[1] = phi[0]
     for t in range(1, t_max + 1):
         np.multiply(kick, phi, out=phi)
-        phi = sfft.fft(phi, norm="ortho", overwrite_x=True)
+        np.fft.fft(phi, norm="ortho", out=phi)
         np.multiply(kinetic, phi, out=phi)
-        phi = sfft.ifft(phi, norm="ortho", overwrite_x=True)
+        np.fft.ifft(phi, norm="ortho", out=phi)
         for i in range(m):
             values[i, t] = abs(np.vdot(phi[1, i], phi[0, i])) ** 2
     return values

@@ -24,7 +24,6 @@ oracle.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.lib.stride_tricks import as_strided
 
 COHERENT_IMAGE_RANGE = 3  # lattice images; enough for double precision at N >= 16
@@ -89,7 +88,7 @@ def rho_to_chord(rho: np.ndarray) -> np.ndarray:
     N = rho.shape[0]
     if rho.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    chi = sfft.fft(cyclic_diagonals(rho), axis=1, workers=-1)
+    chi = np.fft.fft(cyclic_diagonals(rho), axis=1)
     chi *= _chord_phase(N)
     return chi
 
@@ -103,7 +102,7 @@ def chord_to_rho(chi: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {chi.shape}")
     j = np.arange(N)
     rho = np.empty((N, N), dtype=np.complex128)
-    rho[(j[:, None] + j) % N, j] = sfft.ifft(chi * _chord_phase(N).conj(), axis=1)
+    rho[(j[:, None] + j) % N, j] = np.fft.ifft(chi * _chord_phase(N).conj(), axis=1)
     return rho
 
 

@@ -13,7 +13,6 @@ gives purity_curve's values at production N.
 """
 
 import numpy as np
-import scipy.fft as sfft
 
 from .analysis import fit_decay_rate
 from .decoherence import (
@@ -63,11 +62,15 @@ def translation_matrix(space: SpaceDescriptor, q: int, p: int) -> np.ndarray:
 
 
 def propagator_matrix(prop: Propagator) -> np.ndarray:
-    """Dense N x N matrix of the propagator; test oracle for small N."""
+    """Dense N x N matrix of the propagator; test oracle for small N.  The
+    unitary DFT matrix F[k, j] = exp(-2*pi*i*((j*k) % N)/N)/sqrt(N) is built
+    in closed form, with the product reduced in integers, so it shares no FFT
+    code with apply_propagator."""
     N = prop.space.N
     if N > 4096:
         raise ValueError(f"dense propagator matrix limited to N <= 4096, got {N}")
-    F = sfft.fft(np.eye(N), axis=0, norm="ortho")
+    j = np.arange(N, dtype=np.int64)
+    F = np.exp(-2j * np.pi * (np.outer(j, j) % N) / N) / np.sqrt(N)
     return F.conj().T @ (prop.kinetic_phases[:, None] * F) @ np.diag(prop.kick_phases)
 
 

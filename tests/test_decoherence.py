@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from torus_echo.decoherence import (
     _EXP_UNDERFLOW,
@@ -377,15 +376,6 @@ class TestDiagonalStep:
         prop = build_propagator(space, MapParams(2, 2, 0.01))
         assert_matches_composition(coherent_state(space, 0.31, 0.47), prop,
                                    build_kernel(space, tag, eps), 6)
-
-    def test_matches_composition_when_fft_copies(self, monkeypatch):
-        # the step keeps its forward FFT in place also if scipy.fft returns a copy
-        fft = scipy.fft.fft
-        monkeypatch.setattr(scipy.fft, "fft", lambda x, *args, **kwargs: fft(x.copy(), *args, **kwargs))
-        space = make_space(25)
-        assert_matches_composition(coherent_state(space, 0.31, 0.47),
-                                   build_propagator(space, MapParams(2, 4, 0.03)),
-                                   random_symmetric_kernel(25, seed=25), 4)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("a, b", [(2, 2), (2, 4), (4, 2)])
