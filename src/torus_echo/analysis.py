@@ -137,17 +137,19 @@ def sweep_echo(space: SpaceDescriptor, params: MapParams,
                sigma_over_hbar_list: Sequence[float], t_max: int,
                n_states: int, seed: int,
                transient_skip: int = DEFAULT_TRANSIENT_SKIP,
-               floor_factor: float = DEFAULT_FLOOR_FACTOR) -> list:
+               floor_factor: float = DEFAULT_FLOOR_FACTOR,
+               workers: Optional[int] = None) -> list:
     """Echo decay rate versus rescaled perturbation strength.
 
     For each control value, evolves the (k, k + sigma) pair, averages over
-    n_states coherent states, and fits the decay rate.  Fit failures are
-    recorded per row, not raised.
+    n_states coherent states on averaged_le's workers threads, and fits the
+    decay rate.  Fit failures are recorded per row, not raised.
     """
     if any(c <= 0 for c in sigma_over_hbar_list):
         raise ValueError("all sigma_over_hbar controls must be > 0")
     return _sweep_rows(space, sigma_over_hbar_list,
-                       lambda control: averaged_le(space, params, control, t_max, n_states, seed),
+                       lambda control: averaged_le(space, params, control, t_max, n_states, seed,
+                                                   workers=workers),
                        lambda control: None, transient_skip, floor_factor)
 
 

@@ -28,7 +28,6 @@ error, 3 resource refusal.
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -42,8 +41,8 @@ from . import __version__
 from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS,
                        _prediction_for, sweep_echo, sweep_purity)
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
-from .dynamics import MapParams
-from .echo import default_echo_t_max
+from .dynamics import MapParams, lyapunov_closed_form
+from .echo import default_echo_t_max, ensemble_workers, usable_cpus
 from .hilbert import make_space
 
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
@@ -186,8 +185,13 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _check_memory(config: RunConfig):
+def _check_memory(config: RunConfig) -> Optional[int]:
+    """Refuses a run whose estimated working set exceeds the memory cap.
+    Returns an echo run's thread count, ensemble_workers(n_states) lowered
+    until the working set fits; None for the other modes."""
     N = config.N
+    cap = config.memory_cap_gib * 2**30
+    workers = None
     working_set = 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
         # The purity step's live arrays, in complex128 units of 16 N^2 bytes:
@@ -206,20 +210,27 @@ def _check_memory(config: RunConfig):
             # arrays from x = 5000 to 10^4 at N = 800 (160.6 -> 283.5 MiB).
             working_set += 2 * 8 * (2 * config.image_cutoff + 1) * N
     elif config.mode in ECHO_MODES:
-        # 16 complex vectors.  From N = 2^15 a block is one state: its (2, 1, N)
-        # buffer and the pair's stacked phases (2 + 2), with the Propagators
-        # or coherent_state's temporaries on top at the peak.  A one-state
-        # le-curve's peak RSS grows by 176-178 B per N at both N = 2^20 and
-        # 2^22 (34.7 MiB after import -> 212.4 and 740.5 MiB); below 2^15 the
-        # block buffer is a fixed 1 MiB.
-        working_set = 16 * 16 * N
-    cap = config.memory_cap_gib * 2**30
+        # Complex vectors: the pair's stacked phases (4), shared by averaged_le's
+        # w threads, and 9 per thread.  From N = 2^15 a thread's block is one
+        # state, its (2, 1, N) buffer with coherent_state's temporaries on top.
+        # Peak RSS of an le-sweep with n_states = w grows by 176.5, 288.5 and
+        # 400.5 B per N for w = 1, 2, 3 at N = 2^22 (4 + 7w vectors; 740.7,
+        # 1188.8, 1637.2 MiB), and by up to 330 B per N (w = 2, N = 2^20) and
+        # 579 B per N (w = 4, N = 2^21) where freed temporaries stay mapped;
+        # below 2^15 the block buffers are a fixed 1 MiB in all.  A thread
+        # fewer costs speed, not bits, so w drops to fit the cap before the
+        # run is refused.
+        workers = ensemble_workers(config.n_states)
+        while workers > 1 and 16 * N * (4 + 9 * workers) > cap:
+            workers -= 1
+        working_set = 16 * N * (4 + 9 * workers)
     if working_set > cap:
         raise ResourceRefusal(
             f"estimated working set {working_set / 2**30:.1f} GiB exceeds cap "
             f"{config.memory_cap_gib} GiB (N={N}, mode={config.mode}); "
             "raise memory_cap_gib to force the run"
         )
+    return workers
 
 
 def _write_curve_csv(path: Path, values: np.ndarray):
@@ -245,15 +256,16 @@ def _write_sweep_csv(path: Path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sweep(config: RunConfig) -> list:
-    """The rows, curves included, of the configured echo or purity sweep."""
+def _sweep(config: RunConfig, workers: Optional[int]) -> list:
+    """The rows, curves included, of the configured echo or purity sweep;
+    workers is the echo ensemble's thread count."""
     space = make_space(config.N)
     params = MapParams(config.a, config.b, config.k)
     if config.mode in ECHO_MODES:
         return sweep_echo(space, params, config.sigma_over_hbar, config.t_max,
                           config.n_states, config.seed,
                           transient_skip=config.transient_skip,
-                          floor_factor=config.floor_factor)
+                          floor_factor=config.floor_factor, workers=workers)
     return sweep_purity(space, params, config.model, config.epsilon,
                         config.t_max, config.seed,
                         mixture_weight=config.mixture_weight,
@@ -264,11 +276,18 @@ def _sweep(config: RunConfig) -> list:
 
 def _environment() -> dict:
     """The numeric environment a run's timings and last bits depend on."""
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        nproc = os.cpu_count()
-    return {"python": platform.python_version(), "numpy": np.__version__, "nproc": nproc}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": usable_cpus()}
+
+
+def _prediction_flag(config: RunConfig, prediction) -> dict:
+    """Marks a GDM prediction above the map's Lyapunov exponent, a rate no
+    kernel-only law reaches: the per-step purity rate saturates near lambda
+    there (docs/DECISIONS.md).  Empty for every other row."""
+    if (config.model == "gdm" and prediction is not None
+            and prediction > lyapunov_closed_form(config.a, config.b)):
+        return {"prediction_out_of_range": True}
+    return {}
 
 
 def run(config: RunConfig) -> int:
@@ -277,7 +296,7 @@ def run(config: RunConfig) -> int:
     manifest.json is written also when the run raises, and then names the
     exception under 'error'.
     """
-    _check_memory(config)
+    workers = _check_memory(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -287,15 +306,15 @@ def run(config: RunConfig) -> int:
                 "duration_seconds": None, "rows": row_status, "outputs": outputs}
     try:
         if config.mode == "predict":
-            lines = ["control,prediction"]
-            for eps in config.epsilon:
-                lines.append(f"{_fmt(eps)},{_fmt(_prediction_for(config.model, eps, config.N))}")
+            predictions = [(eps, _prediction_for(config.model, eps, config.N))
+                           for eps in config.epsilon]
+            lines = ["control,prediction"] + [f"{_fmt(eps)},{_fmt(p)}" for eps, p in predictions]
             (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
             outputs.append("predictions.csv")
-            row_status.extend({"control": eps, "status": "ok", "output": "predictions.csv"}
-                              for eps in config.epsilon)
+            row_status.extend({"control": eps, "status": "ok", "output": "predictions.csv",
+                               **_prediction_flag(config, p)} for eps, p in predictions)
         else:
-            rows = _sweep(config)
+            rows = _sweep(config, workers)
             if config.mode.endswith("-curve"):
                 # a curve mode writes every row's curve, whether or not its fit failed
                 prefix = "le" if config.mode in ECHO_MODES else "purity"
@@ -303,14 +322,16 @@ def run(config: RunConfig) -> int:
                     name = f"curve_{prefix}_{i:03d}.csv"
                     _write_curve_csv(out_dir / name, row.curve)
                     outputs.append(name)
-                    row_status.append({"control": row.control, "status": "ok", "output": name})
+                    row_status.append({"control": row.control, "status": "ok", "output": name,
+                                       **_prediction_flag(config, row.prediction)})
             else:
                 _write_sweep_csv(out_dir / "sweep.csv", rows)
                 outputs.append("sweep.csv")
                 for row in rows:
                     status = "ok" if row.error is None else f"error: {row.error}"
                     row_status.append({"control": row.control, "status": status,
-                                       "output": "sweep.csv"})
+                                       "output": "sweep.csv",
+                                       **_prediction_flag(config, row.prediction)})
     except BaseException as err:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise

@@ -1,6 +1,17 @@
 """Loschmidt echo M(t) = |<psi| U_{k'}^{-t} U_k^t |psi>|^2 and ensemble
 averages over uniformly drawn coherent states.  The perturbation is its
-rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N)."""
+rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N).
+
+averaged_le splits the ensemble into one contiguous chunk of states per
+thread, one thread per usable CPU up to MAX_WORKERS.  The calling thread
+advances the first chunk and a plain thread each other one; numpy's FFTs and
+ufuncs release the GIL, so the chunks run in parallel.  The chunks' curves
+are summed in state order afterwards, so the mean is bitwise the serial
+one's."""
+
+import os
+import threading
+from typing import Optional
 
 import numpy as np
 
@@ -15,9 +26,31 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
     return int(np.ceil((np.log(space.N) + 2.0) / lam))
 
 
-# States per block of averaged_le: a block's (2, m, N) buffer holds 2^16
-# complex values (1 MiB), so 8 states at N = 4096 and one from N = 2^15 up.
+# States per block of averaged_le: the blocks' (2, m, N) buffers hold 2^16
+# complex values (1 MiB) together, shared out over the chunks' threads, so 8
+# states at N = 4096 on one CPU, 4 per thread on two, and one state per thread
+# from N = 2^15 up.
 _BLOCK_VALUES = 2**15
+
+
+# Threads of averaged_le at most: speed and peak RSS were measured on two
+# CPUs (BENCH_echo-threads.json); more threads are unmeasured.
+MAX_WORKERS = 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the manifest's nproc, and
+    averaged_le's thread count up to MAX_WORKERS."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def ensemble_workers(n_states: int) -> int:
+    """averaged_le's thread count when the caller names none: one per usable
+    CPU, at most MAX_WORKERS and n_states."""
+    return min(usable_cpus(), MAX_WORKERS, n_states)
 
 
 def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
@@ -86,24 +119,78 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
     return np.array([substream(seed, i).random(2) for i in range(n_states)])
 
 
-def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
-                t_max: int, n_states: int, seed: int) -> Curve:
-    """Mean echo over n_states coherent states; summation in state-index
-    order, so results are bitwise reproducible for fixed (seed, n_states).
-    The propagator pair is built once for all states, which advance in
-    blocks of max(1, _BLOCK_VALUES // N) through one reused buffer."""
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
-    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
-    centers = ensemble_centers(seed, n_states)
-    block = min(n_states, max(1, _BLOCK_VALUES // space.N))
-    phi = np.empty((2, block, space.N), dtype=np.complex128)
-    acc = np.zeros(t_max + 1)
-    for start in range(0, n_states, block):
+def _chunk_values(space: SpaceDescriptor, centers: np.ndarray, kick: np.ndarray,
+                  kinetic: np.ndarray, t_max: int, block: int, stop: threading.Event):
+    """M(t) of the coherent states at centers, one row each, advanced block
+    states at a time through one reused (2, block, N) buffer; None once stop
+    is set, which is checked before each block."""
+    phi = np.empty((2, min(block, len(centers)), space.N), dtype=np.complex128)
+    values = np.empty((len(centers), t_max + 1))
+    for start in range(0, len(centers), block):
+        if stop.is_set():
+            return None
         rows = centers[start:start + block]
         states = phi[:, :len(rows)]
         for i, (q0, p0) in enumerate(rows):
             states[0, i] = coherent_state(space, q0, p0)
-        for row in _echo_values(states, kick, kinetic, t_max):
+        values[start:start + len(rows)] = _echo_values(states, kick, kinetic, t_max)
+    return values
+
+
+def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
+                t_max: int, n_states: int, seed: int, workers: Optional[int] = None) -> Curve:
+    """Mean echo over n_states coherent states; summation in state-index
+    order, so results are bitwise reproducible for fixed (seed, n_states)
+    whatever the thread count.
+
+    The propagator pair is built once for all states.  The states split into
+    w = min(workers, n_states) contiguous chunks, advanced in parallel: the
+    first by the calling thread, each other one by a thread of its own, in
+    blocks of max(1, _BLOCK_VALUES // (w * N)).  workers defaults to
+    ensemble_workers(n_states); the CLI lowers it to fit its memory cap.  An
+    exception raised in any chunk stops the others at their next block and
+    is re-raised here once every thread has ended.
+    """
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if workers is None:
+        workers = ensemble_workers(n_states)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    centers = ensemble_centers(seed, n_states)
+    workers = min(workers, n_states)
+    block = max(1, _BLOCK_VALUES // (workers * space.N))
+    chunks = np.array_split(centers, workers)
+    results = [None] * workers
+    stop = threading.Event()
+
+    def advance(w):
+        try:
+            results[w] = _chunk_values(space, chunks[w], kick, kinetic, t_max, block, stop)
+        except BaseException as err:  # handed to the calling thread
+            stop.set()
+            results[w] = err
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=advance, args=(w,))
+            thread.start()
+            threads.append(thread)
+        results[0] = _chunk_values(space, chunks[0], kick, kinetic, t_max, block, stop)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # a fault, an interrupt, or a thread that cannot start
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    for values in results:
+        if isinstance(values, BaseException):
+            raise values
+    acc = np.zeros(t_max + 1)
+    for values in results:
+        for row in values:
             acc += row
     return Curve(acc / n_states)

@@ -27,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 COHERENT_IMAGE_RANGE = 3  # lattice images; enough for double precision at N >= 16
+_EXP_UNDERFLOW = 746.0  # exp(-t) is exactly 0.0 in double precision from t ~ 745.2 up
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,12 @@ def coherent_state(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
 
     Periodized Gaussian with symmetric widths (position variance hbar/2):
     psi_j ~ sum_m exp(-pi*N*(j/N - q0 - m)^2 + 2*pi*i*N*p0*(j/N - q0 - m)).
+
+    Only the live images are summed: x is monotone in j, so an image whose
+    end points x[0] and x[-1] share a sign and both have pi*N*x^2 >= 746
+    underflows to exactly 0.0 everywhere (exp(-745.2) already does), and
+    adding it would change no bit.  Summing all 2 * COHERENT_IMAGE_RANGE + 1
+    images is the oracle (selftest.coherent_state_all_images).
     """
     if not (0.0 <= q0 < 1.0 and 0.0 <= p0 < 1.0):
         raise ValueError(f"center ({q0}, {p0}) must lie in [0,1)^2")
@@ -61,6 +68,8 @@ def coherent_state(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
     psi = np.zeros(N, dtype=np.complex128)
     for m in range(-COHERENT_IMAGE_RANGE, COHERENT_IMAGE_RANGE + 1):
         x = j / N - q0 - m
+        if x[0] * x[-1] > 0 and np.pi * N * min(x[0] ** 2, x[-1] ** 2) >= _EXP_UNDERFLOW:
+            continue
         psi += np.exp(-np.pi * N * x * x + 2j * np.pi * N * p0 * x)
     return psi / np.linalg.norm(psi)
 

@@ -5,7 +5,8 @@ The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
-every image row (lorentz_kernel_full_band), the one-state echo loop
+every image row (lorentz_kernel_full_band), the coherent state summed over
+every lattice image (coherent_state_all_images), the one-state echo loop
 (echo_values_direct), the identity channel (identity_kernel), and the
 classical map (classical_step) with the Benettin estimate of its Lyapunov
 exponent (lyapunov_numeric).  At k = 0 the chord orbit (chord_orbit_purity)
@@ -37,8 +38,8 @@ from .dynamics import (
     lyapunov_closed_form,
 )
 from .echo import _propagator_pair, averaged_le, ensemble_centers
-from .hilbert import (SpaceDescriptor, chord_to_rho, coherent_state, cyclic_diagonals, make_space,
-                      purity, rho_to_chord)
+from .hilbert import (COHERENT_IMAGE_RANGE, SpaceDescriptor, chord_to_rho, coherent_state,
+                      cyclic_diagonals, make_space, purity, rho_to_chord)
 from .rng import substream
 
 
@@ -110,6 +111,18 @@ def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
             theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
         w = t_weights * s * np.exp(-t_nodes * s * s)
     return _finalize(theta.T @ (w[:, None] * theta))
+
+
+def coherent_state_all_images(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
+    """coherent_state summed over all 2 * COHERENT_IMAGE_RANGE + 1 lattice
+    images, the ones that underflow to 0.0 included; its oracle, bitwise."""
+    N = space.N
+    j = np.arange(N, dtype=float)
+    psi = np.zeros(N, dtype=np.complex128)
+    for m in range(-COHERENT_IMAGE_RANGE, COHERENT_IMAGE_RANGE + 1):
+        x = j / N - q0 - m
+        psi += np.exp(-np.pi * N * x * x + 2j * np.pi * N * p0 * x)
+    return psi / np.linalg.norm(psi)
 
 
 def apply_decoherence_direct(rho: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -342,14 +355,30 @@ def check_chord_orbit(N=24, t_max=6):
 
 def check_echo_blocks(t_max=12):
     """averaged_le, whose states advance in blocks, against one state at a
-    time through apply_propagator; the 9 states cross a block edge at N = 4096."""
+    time through apply_propagator, on one thread and on two whatever the
+    host; the 9 states cross a block edge at N = 4096."""
     worst = 0.0
-    for N in (64, 4096):
-        space, params = make_space(N), MapParams(2, 2, 0.0002)
-        got = averaged_le(space, params, 2.5, t_max, n_states=9, seed=5).values
-        expected = direct_averaged_le(space, params, 2.5, t_max, 9, 5)
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+    for workers in (1, 2):
+        for N in (64, 4096):
+            space, params = make_space(N), MapParams(2, 2, 0.0002)
+            got = averaged_le(space, params, 2.5, t_max, n_states=9, seed=5, workers=workers)
+            expected = direct_averaged_le(space, params, 2.5, t_max, 9, 5)
+            worst = max(worst, float(np.max(np.abs(got.values - expected))))
     return worst, 5e-324  # the smallest double: equal bitwise or fail
+
+
+def check_coherent_images(seed=13):
+    """coherent_state, which skips the images that underflow, against the sum
+    over every image, at 16 random centres per N; compared as bits, so a
+    signed zero counts too."""
+    rng = np.random.default_rng(seed)
+    mismatches = 0
+    for N in (64, 800, 4096, 2**14):
+        space = make_space(N)
+        for q0, p0 in rng.random((16, 2)):
+            got, expected = coherent_state(space, q0, p0), coherent_state_all_images(space, q0, p0)
+            mismatches += not np.array_equal(got.view(np.int64), expected.view(np.int64))
+    return float(mismatches), 1.0  # no mismatch, or fail
 
 
 def check_multiplier_against_double_sum(N=8, seed=6):
@@ -438,6 +467,7 @@ ALL_CHECKS = [
     ("propagator-vs-matrix", check_propagator_matrix),
     ("density-conjugation", check_density_conjugation),
     ("echo-blocks-vs-one-state", check_echo_blocks),
+    ("coherent-live-vs-all-images", check_coherent_images),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
     ("purity-step-vs-composition", check_purity_step),
     ("purity-vs-chord-orbit", check_chord_orbit),

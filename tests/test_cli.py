@@ -3,12 +3,14 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import torus_echo.analysis
+from torus_echo.analysis import gdm_rate_prediction
 from torus_echo.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -222,10 +224,33 @@ class TestRun:
         _check_memory(RunConfig(mode="predict", N=2**26))
 
     def test_echo_working_set_admits_n2_24_at_default_cap(self):
-        # 16 complex vectors, 4 GiB at N = 2^24
+        # 4 + 9w complex vectors on w <= 2 threads: 5.5 GiB at N = 2^24
         _check_memory(RunConfig(mode="le-sweep", N=2**24))
         with pytest.raises(ResourceRefusal):
             _check_memory(RunConfig(mode="le-sweep", N=2**26))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("N, workers", [(2**24, 2), (2**25, 1)])
+    def test_echo_threads_lowered_to_fit_the_default_cap(self, monkeypatch, cpus, N, workers):
+        # at N = 2^25 two threads need 11 GiB, one 6.5 GiB: the run is
+        # admitted on one thread, however many CPUs the host has
+        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: cpus)
+        assert _check_memory(RunConfig(mode="le-sweep", N=N)) == min(cpus, workers)
+
+    def test_echo_working_set_scales_with_threads(self, monkeypatch):
+        # 4 shared vectors and 9 per thread: at N = 2^20 a vector is 16 MiB,
+        # so a cap of v / 64 GiB admits exactly v vectors
+        def workers(n_states, vectors):
+            return _check_memory(RunConfig(mode="le-sweep", N=2**20, n_states=n_states,
+                                           memory_cap_gib=vectors / 64))
+
+        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: 64)
+        below = 2**-24  # a byte under the cap, in vectors
+        assert workers(16, 40) == 2  # at most MAX_WORKERS threads
+        assert workers(16, 22) == 2 and workers(16, 22 - below) == 1
+        assert workers(16, 13) == 1 and workers(2, 22) == 2 and workers(1, 22) == 1
+        with pytest.raises(ResourceRefusal):
+            workers(16, 13 - below)
 
     def test_lorentz_temporaries_charged(self):
         # two float (2x + 1, N) arrays, 11.9 GiB each at x = 10^6, N = 800
@@ -257,6 +282,52 @@ class TestRun:
         manifest = json.loads((dest / "manifest.json").read_text())
         assert manifest["error"] == "RuntimeError: purity step failed"
         assert manifest["outputs"] == [] and manifest["config"]["N"] == 64
+
+    def test_echo_chunk_fault_named_in_manifest(self, tmp_path, monkeypatch):
+        def failing_in_threads(phi, kick, kinetic, t_max):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("second chunk failed")
+            return echo_values(phi, kick, kinetic, t_max)
+
+        echo_values = torus_echo.echo._echo_values
+        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(torus_echo.echo, "_echo_values", failing_in_threads)
+        dest = tmp_path / "out"
+        text = "mode = le-sweep\nN = 64\nsigma_over_hbar = 1.0\nt_max = 6\nn_states = 4"
+        assert main(["le-sweep", "--config", str(_write(tmp_path, text)),
+                     "--out", str(dest)]) == EXIT_RUNTIME
+        manifest = json.loads((dest / "manifest.json").read_text())
+        assert manifest["error"] == "RuntimeError: second chunk failed"
+        assert manifest["outputs"] == []
+
+    def test_gdm_prediction_above_lyapunov_flagged(self, tmp_path):
+        # s = eps N / 2 pi = 0.51 and 1.02 at N = 64: the law gives 0.89 and
+        # 2.08 against lambda = 1.76; the CSV is written as before
+        cfg = parse_config("mode = purity-sweep\nN = 64\nmodel = gdm\nepsilon = 0.05, 0.1\n"
+                           f"t_max = 6\nout_dir = {tmp_path}")
+        run(cfg)
+        rows = json.loads((tmp_path / "manifest.json").read_text())["rows"]
+        assert [row.get("prediction_out_of_range") for row in rows] == [None, True]
+        body = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert [float(line.split(",")[6]) for line in body] == [
+            gdm_rate_prediction(0.05, 64), gdm_rate_prediction(0.1, 64)]
+
+    @pytest.mark.parametrize("model, flags", [("gdm", [False, False, True]),
+                                              ("dc", [False, False, False])])
+    def test_predict_flags_only_gdm_above_lyapunov(self, tmp_path, model, flags):
+        # at N = 800, s = 0.38, 0.64 and 1.27; no other family is flagged
+        text = (f"mode = predict\nN = 800\nmodel = {model}\nepsilon = 0.003, 0.005, 0.01\n"
+                f"out_dir = {tmp_path}")
+        assert run(parse_config(text)) == EXIT_OK
+        rows = json.loads((tmp_path / "manifest.json").read_text())["rows"]
+        assert [row.get("prediction_out_of_range", False) for row in rows] == flags
+
+    def test_manifest_nproc_is_the_usable_cpu_count(self, tmp_path, monkeypatch):
+        assert torus_echo.cli.usable_cpus is torus_echo.echo.usable_cpus
+        monkeypatch.setattr(torus_echo.cli, "usable_cpus", lambda: 3)
+        cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])
+        assert run(cfg) == EXIT_OK
+        assert json.loads((tmp_path / "manifest.json").read_text())["environment"]["nproc"] == 3
 
     def test_manifest_records_environment(self, tmp_path):
         cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import torus_echo.echo as echo
 from torus_echo.dynamics import MapParams
 from torus_echo.echo import (
     _propagator_pair,
@@ -154,6 +158,126 @@ class TestBlockKernel:
         space = make_space(64)
         with pytest.raises(ValueError, match="space dimension"):
             le_curve(coherent_state(make_space(32), 0.2, 0.2), space, MapParams(2, 2), 1.0, 5)
+
+
+class TestThreads:
+    """averaged_le with its thread count named, whatever the host: every
+    split of the ensemble into chunks gives the serial oracle's bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("N", [64, 256, 4096, 1000])
+    def test_averaged_le_equals_oracle_bitwise(self, N, n_states, workers):
+        space, params = make_space(N), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3, workers=workers)
+        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_state_per_block_from_n_2_15(self, workers):
+        space, params = make_space(2**15), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 1.3, 6, n_states=4, seed=8, workers=workers)
+        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 6, 4, 8))
+
+    @pytest.mark.parametrize("cpus, n_states, workers", [(1, 9, 1), (2, 9, 2), (3, 9, 2),
+                                                         (64, 9, 2), (64, 1, 1)])
+    def test_default_thread_count(self, monkeypatch, cpus, n_states, workers):
+        # one thread per usable CPU, at most MAX_WORKERS and n_states
+        monkeypatch.setattr(echo, "usable_cpus", lambda: cpus)
+        assert echo.ensemble_workers(n_states) == workers
+        space, params = make_space(256), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
+        assert np.array_equal(got.values,
+                              direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+
+    def test_fewer_states_than_workers(self, monkeypatch):
+        # w = min(workers, n_states): two chunks of one state, no empty third
+        def counting(space, centers, *rest):
+            sizes.append(len(centers))
+            return chunk_values(space, centers, *rest)
+
+        sizes, chunk_values = [], echo._chunk_values
+        monkeypatch.setattr(echo, "_chunk_values", counting)
+        space, params = make_space(256), MapParams(2, 2, 0.0002)
+        got = averaged_le(space, params, 1.3, 10, n_states=2, seed=4, workers=3)
+        assert sizes == [1, 1]
+        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, 2, 4))
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            averaged_le(make_space(64), MapParams(2, 2, 0.0002), 1.0, 5, n_states=4, seed=1,
+                        workers=0)
+
+    def test_concurrent_fft_plans(self):
+        # 20 lengths no other test uses, each first transformed by three
+        # threads at once with the switch interval shortened, against the
+        # serial result computed afterwards
+        params = MapParams(2, 2, 0.0002)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for N in range(3001, 3041, 2):
+                space = make_space(N)
+                threaded = averaged_le(space, params, 0.7, 4, n_states=6, seed=6, workers=3)
+                serial = averaged_le(space, params, 0.7, 4, n_states=6, seed=6, workers=1)
+                assert np.array_equal(threaded.values, serial.values), N
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_fault_reaches_the_caller(self, monkeypatch):
+        def failing_in_threads(phi, kick, kinetic, t_max):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("second chunk failed")
+            return echo_values(phi, kick, kinetic, t_max)
+
+        echo_values = echo._echo_values
+        monkeypatch.setattr(echo, "_echo_values", failing_in_threads)
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            averaged_le(make_space(64), MapParams(2, 2, 0.0002), 1.0, 5, n_states=4, seed=1,
+                        workers=2)
+        assert threading.active_count() == alive
+
+    def test_interrupt_stops_the_other_chunks(self, monkeypatch):
+        # the calling thread's chunk is interrupted while the second chunk's
+        # thread is inside its first of four one-state blocks: that thread
+        # ends after the block, and the interrupt reaches the caller
+        def recording(space, centers, kick, kinetic, t_max, block, stop):
+            stops.append(stop)
+            return chunk_values(space, centers, kick, kinetic, t_max, block, stop)
+
+        def interrupted(phi, kick, kinetic, t_max):
+            if threading.current_thread() is threading.main_thread():
+                assert entered.wait(10)
+                raise KeyboardInterrupt
+            blocks.append(len(phi[0]))
+            entered.set()
+            assert stops[0].wait(10)
+            return echo_values(phi, kick, kinetic, t_max)
+
+        stops, blocks, entered = [], [], threading.Event()
+        chunk_values, echo_values = echo._chunk_values, echo._echo_values
+        monkeypatch.setattr(echo, "_chunk_values", recording)
+        monkeypatch.setattr(echo, "_echo_values", interrupted)
+        alive = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            averaged_le(make_space(2**15), MapParams(2, 2, 0.0002), 1.0, 3, n_states=8, seed=1,
+                        workers=2)
+        assert blocks == [1]
+        assert threading.active_count() == alive
+
+    def test_thread_start_failure_joins_the_started_ones(self, monkeypatch):
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            averaged_le(make_space(64), MapParams(2, 2, 0.0002), 1.0, 5, n_states=6, seed=1,
+                        workers=3)
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 def test_default_t_max_reaches_saturation():

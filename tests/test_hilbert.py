@@ -8,7 +8,8 @@ from torus_echo.hilbert import (
     purity,
     rho_to_chord,
 )
-from torus_echo.selftest import random_density, translate, translation_matrix
+from torus_echo.selftest import (coherent_state_all_images, random_density, translate,
+                                  translation_matrix)
 
 from conftest import random_state
 
@@ -74,6 +75,17 @@ class TestCoherentState:
             x -= np.round(x)  # minimal image distance from the center
             var = float(np.sum(prob * x * x))
             assert var == pytest.approx(space.hbar / 2.0, rel=0.2)
+
+    @pytest.mark.parametrize("N", [16, 64, 800, 4096, 2**14])
+    def test_live_images_equal_all_images_bitwise(self, N):
+        # 64 random centres and the edges of the square, compared as bits so
+        # that a signed zero counts too
+        space = make_space(N)
+        centers = np.concatenate([np.random.default_rng(N).random((64, 2)),
+                                  [(0.0, 0.0), (0.0, 0.5), (1 - 2**-53, 0.7), (0.5, 1 - 2**-53)]])
+        for q0, p0 in centers:
+            got, expected = coherent_state(space, q0, p0), coherent_state_all_images(space, q0, p0)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (q0, p0)
 
     def test_domain_check(self):
         space = make_space(32)
