@@ -41,8 +41,8 @@ from . import __version__
 from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS,
                        _prediction_for, sweep_echo, sweep_purity)
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
-from .dynamics import MapParams, lyapunov_closed_form
-from .echo import default_echo_t_max, ensemble_workers, usable_cpus
+from .dynamics import MapParams, default_workers, lyapunov_closed_form, usable_cpus
+from .echo import default_echo_t_max
 from .hilbert import make_space
 
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
@@ -187,7 +187,7 @@ def _fmt(x) -> str:
 
 def _check_memory(config: RunConfig) -> Optional[int]:
     """Refuses a run whose estimated working set exceeds the memory cap.
-    Returns an echo run's thread count, ensemble_workers(n_states) lowered
+    Returns an echo run's thread count, default_workers(n_states) lowered
     until the working set fits; None for the other modes."""
     N = config.N
     cap = config.memory_cap_gib * 2**30
@@ -198,11 +198,14 @@ def _check_memory(config: RunConfig) -> Optional[int]:
         # the stacked half spectrum [c; conj(c[1:])] (1), the half diagonals d
         # and the step weights (0.5 each), the kernel weights (0.5) and the
         # int64 gather index (0.25); the chord multiplier (0.5) and rfft2's
-        # half spectrum live only while the step is built.  Peak RSS is
-        # 45.1/47.2, 71.1/74.5 and 173.6/179.0 MiB for gdm/ldm at N = 400,
-        # 800 and 1600, 34.7 MiB after import: it grows by 3.5/3.6 units from
-        # N = 800 to 1600, and lies 3.7/3.8 units above import at N = 800
-        # (ldm less its Lorentz term below).
+        # half spectrum live only while the step is built.  The step's second
+        # thread allocates no array.  Peak RSS of a one-row sweep on two
+        # threads (on one) is 45.1 (44.9)/47.4 (46.9), 71.2 (70.9)/74.7
+        # (73.8) and 174.2 (173.4)/179.4 (178.6) MiB for gdm/ldm at N = 400,
+        # 800 and 1600, 34.7 MiB after import: the thread's stack and malloc
+        # arena add under 1 MiB.  On two threads it grows by 3.5/3.6 units
+        # from N = 800 to 1600, and lies 3.7/3.8 units above import at
+        # N = 800 (ldm less its Lorentz term below).
         working_set = 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
             # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
@@ -220,7 +223,7 @@ def _check_memory(config: RunConfig) -> Optional[int]:
         # below 2^15 the block buffers are a fixed 1 MiB in all.  A thread
         # fewer costs speed, not bits, so w drops to fit the cap before the
         # run is refused.
-        workers = ensemble_workers(config.n_states)
+        workers = default_workers(config.n_states)
         while workers > 1 and 16 * N * (4 + 9 * workers) > cap:
             workers -= 1
         working_set = 16 * N * (4 + 9 * workers)
@@ -236,7 +239,7 @@ def _check_memory(config: RunConfig) -> Optional[int]:
 def _write_curve_csv(path: Path, values: np.ndarray):
     lines = ["t,value,minus_ln_value"]
     for t, v in enumerate(values):
-        mlv = _fmt(-np.log(v)) if v > 0 else "inf"
+        mlv = _fmt(0.0 - np.log(v)) if v > 0 else "inf"  # -ln 1 is 0, not -0
         lines.append(f"{t},{_fmt(v)},{mlv}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -274,10 +277,14 @@ def _sweep(config: RunConfig, workers: Optional[int]) -> list:
                         floor_factor=config.floor_factor)
 
 
-def _environment() -> dict:
-    """The numeric environment a run's timings and last bits depend on."""
+def _environment(config: RunConfig, workers: Optional[int]) -> dict:
+    """The numeric environment a run's timings depend on.  threads is the
+    echo ensemble's workers, the purity step's default_workers(N//2 + 1) or
+    1 for predict."""
+    if workers is None:
+        workers = default_workers(config.N // 2 + 1) if config.mode in PURITY_MODES else 1
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "nproc": usable_cpus()}
+            "nproc": usable_cpus(), "threads": workers}
 
 
 def _prediction_flag(config: RunConfig, prediction) -> dict:
@@ -302,8 +309,9 @@ def run(config: RunConfig) -> int:
     started = time.time()
     row_status = []
     outputs = []
-    manifest = {"version": __version__, "config": asdict(config), "environment": _environment(),
-                "duration_seconds": None, "rows": row_status, "outputs": outputs}
+    manifest = {"version": __version__, "config": asdict(config),
+                "environment": _environment(config, workers), "duration_seconds": None,
+                "rows": row_status, "outputs": outputs}
     try:
         if config.mode == "predict":
             predictions = [(eps, _prediction_for(config.model, eps, config.N))

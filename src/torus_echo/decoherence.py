@@ -44,10 +44,14 @@ All kernels are periodized with the minimal-image representative of each
 grid point, which keeps c(q,p) = c(-q,-p) exact under truncation.
 """
 
+import threading
+from typing import Optional
+
 import numpy as np
 
-from .dynamics import Curve, Propagator
-from .hilbert import SpaceDescriptor, _cyclic_diagonals, chord_to_rho, purity, rho_to_chord
+from .dynamics import Curve, Propagator, default_workers, run_parts
+from .hilbert import (SpaceDescriptor, _cyclic_diagonals, chord_to_rho, rho_to_chord,
+                      squared_row_norms)
 
 MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
@@ -238,10 +242,17 @@ def apply_decoherence(rho: np.ndarray, chat: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_step(prop: Propagator, kernel: np.ndarray):
-    """step(d) -> d' for one rho' = D(U rho U^dag), D the channel of kernel, on
-    the rows Q = 0..N//2 of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j]
+    """The two phases of one rho' = D(U rho U^dag), D the channel of kernel,
+    on the rows Q = 0..N//2 of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j]
     of a Hermitian rho; see purity_curve.  d is a C-contiguous complex
-    (N//2 + 1, N) array, and step overwrites it."""
+    (N//2 + 1, N) array, and the phases overwrite it.
+
+    forward(d, lo, hi) kicks and transforms the rows lo..hi - 1 into the half
+    spectrum and writes their conjugates under it; backward(d, lo, hi, norms)
+    gathers those rows of the next step from the whole half spectrum, weights
+    and inverts them, and leaves sum_j |d[Q, j]|^2 in norms[Q].  So every
+    row's forward ends before any backward starts, and every backward before
+    the next forward.  Each row's values are the same whatever its range."""
     N, b = prop.space.N, prop.params.b
     H = N // 2 + 1
     weights = chord_multiplier(kernel)[:H] * prop.kinetic_phases.conj()
@@ -257,20 +268,64 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     stacked = np.empty((2 * H - 1, N), dtype=np.complex128)
     c, c_conj = stacked[:H], stacked[H:]
 
-    def step(d):
-        np.multiply(d, kick_rows, out=c)
-        np.multiply(c, kick_cols, out=c)
-        np.fft.fft(c, axis=1, out=c)
-        np.conjugate(c[1:], out=c_conj)
-        stacked.take(gather, out=d, mode="wrap")  # every index is in range
-        np.multiply(d, weights, out=d)
-        return np.fft.ifft(d, axis=1, out=d)
+    def forward(d, lo, hi):
+        rows = c[lo:hi]
+        np.multiply(d[lo:hi], kick_rows[lo:hi], out=rows)
+        np.multiply(rows, kick_cols, out=rows)
+        np.fft.fft(rows, axis=1, out=rows)
+        first = max(lo, 1)
+        np.conjugate(c[first:hi], out=c_conj[first - 1:hi - 1])
 
-    return step
+    def backward(d, lo, hi, norms):
+        rows = d[lo:hi]
+        stacked.take(gather[lo:hi], out=rows, mode="wrap")  # every index is in range
+        np.multiply(rows, weights[lo:hi], out=rows)
+        np.fft.ifft(rows, axis=1, out=rows)
+        squared_row_norms(rows, out=norms[lo:hi])
+
+    return forward, backward
+
+
+def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.ndarray:
+    """Purity P(0..t_max) of the held diagonals d, which advance in place
+    through t_max steps of phases = _diagonal_step(...), over workers
+    contiguous ranges of rows.
+
+    The ranges run in parallel (dynamics.run_parts), the first on the calling
+    thread, with a barrier after each phase.  The purity is summed from the
+    rows' squared norms by the calling thread, so it is the same bits on any
+    number of threads.  A fault or interrupt in any thread aborts the
+    barrier, and is re-raised here once every thread has ended.
+    """
+    forward, backward = phases
+    H, N = d.shape
+    paired = slice(1, (N + 1) // 2)  # the rows that also stand for row N - Q
+    norms = np.empty(H)
+    values = np.empty(t_max + 1)
+    squared_row_norms(d, out=norms)
+    values[0] = norms.sum() + norms[paired].sum()
+    bounds = [H * w // workers for w in range(workers + 1)]
+    barrier = threading.Barrier(workers)
+
+    def steps(part):
+        lo, hi = bounds[part], bounds[part + 1]
+        try:
+            for t in range(1, t_max + 1):
+                forward(d, lo, hi)
+                barrier.wait()  # the gather reads every row of the half spectrum
+                backward(d, lo, hi, norms)
+                barrier.wait()  # the next forward overwrites the half spectrum
+                if part == 0:
+                    values[t] = norms.sum() + norms[paired].sum()
+        except threading.BrokenBarrierError:
+            pass  # another part's fault, which run_parts raises
+
+    run_parts(steps, workers, barrier.abort)
+    return values
 
 
 def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
-                 t_max: int) -> Curve:
+                 t_max: int, workers: Optional[int] = None) -> Curve:
     """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
 
     rho is held as the H = N//2 + 1 rows Q = 0..N//2 of its cyclic diagonals
@@ -304,6 +359,11 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     chat (the half phase relating c and chi cancels).  Reading k - P mod N
     needs K to be N-periodic, K(k + N) = K(k) exp(-i*pi*b*(2k + N)); that
     holds for even b at every N, odd N included.
+
+    The H rows split into w = min(workers, H) contiguous ranges that advance
+    in parallel threads (_advance_diagonals); numpy's FFTs, ufuncs, take and
+    einsum release the GIL.  workers defaults to default_workers(H).  Each
+    row's values, and so the curve, are the same bits whatever w.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -312,13 +372,12 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
         raise ValueError(f"state shape {psi0.shape} != ({N},), the space dimension")
     if kernel.shape != (N, N):
         raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
-    step = _diagonal_step(prop, kernel)
+    H = N // 2 + 1
+    if workers is None:
+        workers = default_workers(H)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    phases = _diagonal_step(prop, kernel)
     psi = np.asarray(psi0, dtype=np.complex128)
-    d = _cyclic_diagonals(psi)[:N // 2 + 1] * psi.conj()
-    paired = slice(1, (N + 1) // 2)  # the rows that also stand for row N - Q
-    values = np.empty(t_max + 1)
-    values[0] = purity(d) + purity(d[paired])
-    for t in range(1, t_max + 1):
-        d = step(d)
-        values[t] = purity(d) + purity(d[paired])
-    return Curve(values)
+    d = _cyclic_diagonals(psi)[:H] * psi.conj()
+    return Curve(_advance_diagonals(phases, d, t_max, min(workers, H)))

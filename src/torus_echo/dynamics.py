@@ -15,13 +15,23 @@ momentum and position bases respectively, with generating functions
 
 so that p' = p - dV/dq, q' = q - dT/dp' reproduces the classical map.
 Applying U costs two FFTs per step.  The classical map is a selftest oracle.
+
+run_parts is the thread protocol of averaged_le's chunks and purity_curve's
+row ranges.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import SpaceDescriptor
+
+# Threads of echo.averaged_le and of decoherence.purity_curve at most: their
+# speed and peak RSS were measured on two CPUs (BENCH_echo-threads.json,
+# BENCH_purity-threads.json); more threads are unmeasured.
+MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,52 @@ class Curve:
     the echo M(t) or the purity P(t)."""
 
     values: np.ndarray
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the manifest's nproc."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def default_workers(parts: int) -> int:
+    """Threads for work that splits into parts independent pieces: one per
+    usable CPU, at most MAX_WORKERS and parts."""
+    return min(usable_cpus(), MAX_WORKERS, parts)
+
+
+def run_parts(body, parts: int, on_fault) -> None:
+    """Runs body(0) on the calling thread and body(1..parts - 1) each on a
+    plain thread of its own, all at once.  A fault or interrupt in any part,
+    or a thread that cannot start, calls on_fault() so that the other parts
+    can stop early, and is re-raised here once every thread has ended: the
+    calling thread's own, else the first one of another part."""
+    faults = []
+
+    def part(i):
+        try:
+            body(i)
+        except BaseException as err:  # handed to the calling thread
+            faults.append(err)
+            on_fault()
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=part, args=(i,))
+            thread.start()
+            threads.append(thread)
+        body(0)
+    except BaseException:
+        on_fault()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if faults:
+        raise faults[0]
 
 
 def lyapunov_closed_form(a: int, b: int) -> float:

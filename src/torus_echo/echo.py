@@ -3,19 +3,19 @@ averages over uniformly drawn coherent states.  The perturbation is its
 rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N).
 
 averaged_le splits the ensemble into one contiguous chunk of states per
-thread, one thread per usable CPU up to MAX_WORKERS.  The calling thread
-advances the first chunk and a plain thread each other one; numpy's FFTs and
-ufuncs release the GIL, so the chunks run in parallel.  The chunks' curves
-are summed in state order afterwards, so the mean is bitwise the serial
-one's."""
+thread, one thread per usable CPU up to dynamics.MAX_WORKERS.  The calling
+thread advances the first chunk and a plain thread each other one; numpy's
+FFTs and ufuncs release the GIL, so the chunks run in parallel.  The chunks'
+curves are summed in state order afterwards, so the mean is bitwise the
+serial one's."""
 
-import os
 import threading
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import Curve, MapParams, build_propagator, lyapunov_closed_form
+from .dynamics import (Curve, MapParams, build_propagator, default_workers,
+                       lyapunov_closed_form, run_parts)
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
@@ -31,26 +31,6 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
 # states at N = 4096 on one CPU, 4 per thread on two, and one state per thread
 # from N = 2^15 up.
 _BLOCK_VALUES = 2**15
-
-
-# Threads of averaged_le at most: speed and peak RSS were measured on two
-# CPUs (BENCH_echo-threads.json); more threads are unmeasured.
-MAX_WORKERS = 2
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: the manifest's nproc, and
-    averaged_le's thread count up to MAX_WORKERS."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def ensemble_workers(n_states: int) -> int:
-    """averaged_le's thread count when the caller names none: one per usable
-    CPU, at most MAX_WORKERS and n_states."""
-    return min(usable_cpus(), MAX_WORKERS, n_states)
 
 
 def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
@@ -145,16 +125,16 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
 
     The propagator pair is built once for all states.  The states split into
     w = min(workers, n_states) contiguous chunks, advanced in parallel: the
-    first by the calling thread, each other one by a thread of its own, in
-    blocks of max(1, _BLOCK_VALUES // (w * N)).  workers defaults to
-    ensemble_workers(n_states); the CLI lowers it to fit its memory cap.  An
-    exception raised in any chunk stops the others at their next block and
-    is re-raised here once every thread has ended.
+    first by the calling thread, each other one by a thread of its own
+    (dynamics.run_parts), in blocks of max(1, _BLOCK_VALUES // (w * N)).
+    workers defaults to default_workers(n_states); the CLI lowers it to fit
+    its memory cap.  An exception raised in any chunk stops the others at
+    their next block and is re-raised here once every thread has ended.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     if workers is None:
-        workers = ensemble_workers(n_states)
+        workers = default_workers(n_states)
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
@@ -166,29 +146,9 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     stop = threading.Event()
 
     def advance(w):
-        try:
-            results[w] = _chunk_values(space, chunks[w], kick, kinetic, t_max, block, stop)
-        except BaseException as err:  # handed to the calling thread
-            stop.set()
-            results[w] = err
+        results[w] = _chunk_values(space, chunks[w], kick, kinetic, t_max, block, stop)
 
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=advance, args=(w,))
-            thread.start()
-            threads.append(thread)
-        results[0] = _chunk_values(space, chunks[0], kick, kinetic, t_max, block, stop)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # a fault, an interrupt, or a thread that cannot start
-        stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    for values in results:
-        if isinstance(values, BaseException):
-            raise values
+    run_parts(advance, workers, stop.set)
     acc = np.zeros(t_max + 1)
     for values in results:
         for row in values:

@@ -115,6 +115,16 @@ def chord_to_rho(chi: np.ndarray) -> np.ndarray:
     return rho
 
 
+def squared_row_norms(x: np.ndarray, out=None) -> np.ndarray:
+    """sum_j |x[i, j]|^2 for each row i of a complex128 2-D array whose rows
+    are contiguous, as one einsum over its float64 view.  einsum runs its own
+    loop, not BLAS, so the sums do not depend on BLAS's thread count, and a
+    row's sum is the same whichever rows are passed with it."""
+    v = x.view(np.float64)
+    return np.einsum("ij,ij->i", v, v, out=out)
+
+
 def purity(rho: np.ndarray) -> float:
-    """trace(rho^2) for Hermitian rho; equals squared Frobenius norm."""
-    return float(np.vdot(rho.ravel(), rho.ravel()).real)
+    """trace(rho^2) for Hermitian rho; equals squared Frobenius norm, summed
+    from squared_row_norms."""
+    return float(squared_row_norms(np.ascontiguousarray(rho, dtype=np.complex128)).sum())

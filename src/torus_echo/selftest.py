@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import fit_decay_rate
 from .decoherence import (
     LORENTZ_DEFAULT_IMAGE_CUTOFF,
+    _advance_diagonals,
     _centered_offsets,
     _diagonal_step,
     _finalize,
@@ -300,8 +301,9 @@ def random_hermitian(N, rng):
 def check_purity_step(seed=11):
     """One purity_curve step against apply_decoherence(apply_to_density(rho))
     at odd and even N, a != b, k > 0, a random symmetric kernel and a random
-    Hermitian rho, on the rows Q = 0..N//2 the step holds.  Compares matrices:
-    a wrong shear direction or phase can leave purities unchanged."""
+    Hermitian rho, on the rows Q = 0..N//2 the step holds, on one thread and
+    on two whatever the host.  Compares matrices: a wrong shear direction or
+    phase can leave purities unchanged."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for N in (7, 8):
@@ -309,10 +311,12 @@ def check_purity_step(seed=11):
         prop = build_propagator(make_space(N), MapParams(2, 4, 0.13))
         kernel = random_symmetric_kernel(N, seed)
         rho = random_hermitian(N, rng)
-        fused = _diagonal_step(prop, kernel)(cyclic_diagonals(rho)[:H])
         expected = cyclic_diagonals(apply_decoherence(apply_to_density(rho, prop),
                                                       chord_multiplier(kernel)))[:H]
-        worst = max(worst, float(np.max(np.abs(fused - expected))))
+        for workers in (1, 2):
+            fused = cyclic_diagonals(rho)[:H]
+            _advance_diagonals(_diagonal_step(prop, kernel), fused, 1, workers)
+            worst = max(worst, float(np.max(np.abs(fused - expected))))
     return worst, 1e-12
 
 
@@ -342,14 +346,17 @@ def chord_orbit_purity(psi: np.ndarray, a: int, b: int, chat: np.ndarray,
 
 
 def check_chord_orbit(N=24, t_max=6):
-    """purity_curve at k = 0 against chord_orbit_purity, random symmetric kernel."""
+    """purity_curve at k = 0 against chord_orbit_purity, random symmetric
+    kernel, on one thread and on two whatever the host."""
     space, kernel = make_space(N), random_symmetric_kernel(N, seed=12)
     psi = coherent_state(space, 0.31, 0.47)
     worst = 0.0
     for a, b in ((2, 2), (2, 4), (4, 2)):
         expected = chord_orbit_purity(psi, a, b, chord_multiplier(kernel), t_max)
-        got = purity_curve(psi, build_propagator(space, MapParams(a, b, 0.0)), kernel, t_max).values
-        worst = max(worst, float(np.max(np.abs(got - expected) / expected)))
+        prop = build_propagator(space, MapParams(a, b, 0.0))
+        for workers in (1, 2):
+            got = purity_curve(psi, prop, kernel, t_max, workers=workers).values
+            worst = max(worst, float(np.max(np.abs(got - expected) / expected)))
     return worst, 1e-12
 
 

@@ -20,6 +20,7 @@ from torus_echo.cli import (
     ResourceRefusal,
     RunConfig,
     _check_memory,
+    _write_curve_csv,
     main,
     parse_config,
     run,
@@ -234,7 +235,7 @@ class TestRun:
     def test_echo_threads_lowered_to_fit_the_default_cap(self, monkeypatch, cpus, N, workers):
         # at N = 2^25 two threads need 11 GiB, one 6.5 GiB: the run is
         # admitted on one thread, however many CPUs the host has
-        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: cpus)
         assert _check_memory(RunConfig(mode="le-sweep", N=N)) == min(cpus, workers)
 
     def test_echo_working_set_scales_with_threads(self, monkeypatch):
@@ -244,7 +245,7 @@ class TestRun:
             return _check_memory(RunConfig(mode="le-sweep", N=2**20, n_states=n_states,
                                            memory_cap_gib=vectors / 64))
 
-        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: 64)
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: 64)
         below = 2**-24  # a byte under the cap, in vectors
         assert workers(16, 40) == 2  # at most MAX_WORKERS threads
         assert workers(16, 22) == 2 and workers(16, 22 - below) == 1
@@ -290,7 +291,7 @@ class TestRun:
             return echo_values(phi, kick, kinetic, t_max)
 
         echo_values = torus_echo.echo._echo_values
-        monkeypatch.setattr(torus_echo.echo, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: 2)
         monkeypatch.setattr(torus_echo.echo, "_echo_values", failing_in_threads)
         dest = tmp_path / "out"
         text = "mode = le-sweep\nN = 64\nsigma_over_hbar = 1.0\nt_max = 6\nn_states = 4"
@@ -323,7 +324,7 @@ class TestRun:
         assert [row.get("prediction_out_of_range", False) for row in rows] == flags
 
     def test_manifest_nproc_is_the_usable_cpu_count(self, tmp_path, monkeypatch):
-        assert torus_echo.cli.usable_cpus is torus_echo.echo.usable_cpus
+        assert torus_echo.cli.usable_cpus is torus_echo.dynamics.usable_cpus
         monkeypatch.setattr(torus_echo.cli, "usable_cpus", lambda: 3)
         cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])
         assert run(cfg) == EXIT_OK
@@ -333,8 +334,34 @@ class TestRun:
         cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])
         assert run(cfg) == EXIT_OK
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        nproc = len(os.sched_getaffinity(0))
         assert env == {"python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": len(os.sched_getaffinity(0))}
+                       "nproc": nproc, "threads": min(nproc, 2)}
+
+    @pytest.mark.parametrize("cpus, text, threads", [
+        (1, "mode = le-sweep\nN = 32\nsigma_over_hbar = 1\nn_states = 4", 1),
+        (3, "mode = le-sweep\nN = 32\nsigma_over_hbar = 1\nn_states = 4", 2),
+        (3, "mode = le-sweep\nN = 32\nsigma_over_hbar = 1\nn_states = 1", 1),
+        (1, "mode = purity-sweep\nN = 32\nmodel = gdm\nepsilon = 0.1", 1),
+        (3, "mode = purity-sweep\nN = 32\nmodel = gdm\nepsilon = 0.1", 2),
+        (3, "mode = purity-curve\nN = 1\nmodel = gdm\nepsilon = 0.1", 1),
+        (3, "mode = predict\nN = 32\nmodel = dc\nepsilon = 0.1", 1)])
+    def test_manifest_threads_is_the_run_thread_count(self, tmp_path, monkeypatch, cpus, text,
+                                                      threads):
+        # the echo ensemble's chunks, the purity step's row ranges (H = 1 at
+        # N = 1), or the calling thread alone for predict
+        def recording(phases, d, t_max, workers):
+            used.append(workers)
+            return advance(phases, d, t_max, workers)
+
+        used, advance = [], torus_echo.decoherence._advance_diagonals
+        monkeypatch.setattr(torus_echo.decoherence, "_advance_diagonals", recording)
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: cpus)
+        cfg = parse_config(text + "\nt_max = 3", overrides=[f"out_dir={tmp_path}"])
+        run(cfg)
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["threads"] == threads
+        assert used in ([], [threads])
 
     def test_predict_mode(self, tmp_path):
         text = f"mode = predict\nN = 800\nmodel = dc\nepsilon = 0.01, 0.3\nout_dir = {tmp_path}"
@@ -447,6 +474,38 @@ class TestMain:
         assert code == EXIT_OK
         assert (dest / "curve_purity_000.csv").exists()
         assert (dest / "curve_purity_001.csv").exists()
+
+    def test_pure_start_reads_zero_not_minus_zero(self, tmp_path):
+        # -ln P(t) >= 0 since P(t) <= 1, so no minus_ln_value cell starts with
+        # a minus sign; -ln 1 is written 0, not -0
+        path = _write(tmp_path, "mode = purity-curve\nN = 96\nmodel = gdm\nepsilon = 0.1\n"
+                                "k = 0.01\nt_max = 10\nseed = 7")
+        dest = tmp_path / "out"
+        assert main(["purity-curve", "--config", str(path), "--out", str(dest)]) == EXIT_OK
+        lines = (dest / "curve_purity_000.csv").read_text().splitlines()
+        assert lines[1].startswith("0,") and len(lines) == 12
+        assert not any(line.split(",")[2].startswith("-") for line in lines[1:])
+        _write_curve_csv(tmp_path / "c.csv", np.array([1.0, 0.5, 0.0]))
+        assert (tmp_path / "c.csv").read_text().splitlines()[1:] == [
+            "0,1,0", "1,0.5,0.69314718055994529", "2,0,inf"]
+
+    @pytest.mark.parametrize("mode", ["purity-sweep", "purity-curve"])
+    def test_purity_csvs_do_not_depend_on_blas_threads(self, tmp_path, mode):
+        # fresh interpreters, since OpenBLAS reads its thread count when it
+        # loads; at N = 800 a BLAS reduction over the diagonals would split
+        # across its threads
+        path = _write(tmp_path, PAPER_PURITY)
+        src = os.path.dirname(os.path.dirname(torus_echo.__file__))
+        bodies = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            dest = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "torus_echo.cli", mode, "--config", str(path),
+                            "--out", str(dest), "--set", "epsilon=0.004,0.008",
+                            "--set", "transient_skip=0"], env=env, capture_output=True, check=True)
+            bodies.append({p.name: p.read_bytes() for p in dest.glob("*.csv")})
+        assert bodies[0] and bodies[0] == bodies[1]
 
     def test_runs_import_no_scipy(self, tmp_path):
         # a fresh interpreter, since this process may have imported scipy: a

@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import torus_echo.decoherence as decoherence
+import torus_echo.dynamics as dynamics
 from torus_echo.decoherence import (
     _EXP_UNDERFLOW,
     apply_decoherence,
@@ -401,3 +406,96 @@ class TestDiagonalStep:
             expected = chord_orbit_purity(psi, a, b, chord_multiplier(kernel), 12)
             values = purity_curve(psi, prop, kernel, 12).values
             assert np.max(np.abs(values - expected) / expected) < 1e-12, tag
+
+
+def small_gdm_curve(N, workers=None):
+    space = make_space(N)
+    return purity_curve(coherent_state(space, 0.31, 0.47),
+                        build_propagator(space, MapParams(2, 2)), gaussian_kernel(space, 0.3),
+                        6, workers=workers)
+
+
+class TestPurityThreads:
+    """purity_curve with its thread count named, whatever the host: every
+    split of the rows into ranges gives the one-thread curve's bits."""
+
+    @pytest.mark.parametrize("N", [7, 8, 800, 801])
+    @pytest.mark.parametrize("tag, eps", FAMILIES_AT_N800)
+    def test_two_threads_equal_one_bitwise(self, N, tag, eps):
+        space = make_space(N)
+        prop = build_propagator(space, MapParams(2, 2, 0.01))
+        psi, kernel = coherent_state(space, 0.31, 0.47), build_kernel(space, tag, eps)
+        one = purity_curve(psi, prop, kernel, 6, workers=1).values
+        assert np.array_equal(purity_curve(psi, prop, kernel, 6, workers=2).values, one)
+
+    def test_more_threads_than_cores_and_rows(self):
+        # up to 5 ranges of H = 5 rows, with the switch interval shortened: a
+        # row read across a missed barrier would change the bits
+        space = make_space(9)
+        prop = build_propagator(space, MapParams(2, 4, 0.03))
+        psi, kernel = coherent_state(space, 0.31, 0.47), random_symmetric_kernel(9, seed=4)
+        one = purity_curve(psi, prop, kernel, 12, workers=1).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 5, 8):
+                got = purity_curve(psi, prop, kernel, 12, workers=workers).values
+                assert np.array_equal(got, one), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, N, workers", [(1, 64, 1), (2, 64, 2), (64, 64, 2),
+                                                  (64, 2, 2), (64, 1, 1)])
+    def test_default_thread_count(self, monkeypatch, cpus, N, workers):
+        # one thread per usable CPU, at most MAX_WORKERS and H = N//2 + 1 rows
+        def recording(phases, d, t_max, w):
+            counts.append(w)
+            return advance(phases, d, t_max, w)
+
+        counts, advance = [], decoherence._advance_diagonals
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(decoherence, "_advance_diagonals", recording)
+        small_gdm_curve(N)
+        assert counts == [workers]
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            small_gdm_curve(16, workers=0)
+
+    @staticmethod
+    def failing_phases(monkeypatch, phase, caller_rows, fault):
+        """Make the forward or backward phase of the calling thread's rows
+        (lo = 0) or of the other thread's rows raise fault at step 3."""
+        def step(prop, kernel):
+            phases = list(diagonal_step(prop, kernel))
+            inner = phases[phase]
+
+            def failing(d, lo, *rest):
+                assert (lo == 0) == (threading.current_thread() is threading.main_thread())
+                if (lo == 0) == caller_rows:
+                    calls.append(lo)
+                    if len(calls) == 3:
+                        raise fault
+                return inner(d, lo, *rest)
+
+            phases[phase] = failing
+            return phases
+
+        calls, diagonal_step = [], decoherence._diagonal_step
+        monkeypatch.setattr(decoherence, "_diagonal_step", step)
+
+    @pytest.mark.parametrize("phase", [0, 1], ids=["forward", "backward"])
+    @pytest.mark.parametrize("caller_rows", [True, False], ids=["caller", "worker"])
+    def test_fault_in_either_thread_reaches_the_caller(self, monkeypatch, phase, caller_rows):
+        self.failing_phases(monkeypatch, phase, caller_rows, RuntimeError("rows failed"))
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match="rows failed"):
+            small_gdm_curve(64, workers=2)
+        assert threading.active_count() == alive
+
+    def test_interrupt_ends_the_other_thread(self, monkeypatch):
+        self.failing_phases(monkeypatch, 1, True, KeyboardInterrupt())
+        alive = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            small_gdm_curve(64, workers=2)
+        assert threading.active_count() == alive

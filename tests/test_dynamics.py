@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from torus_echo.dynamics import (
     apply_to_density,
     build_propagator,
     lyapunov_closed_form,
+    run_parts,
 )
 from torus_echo.hilbert import coherent_state, make_space, purity
 from torus_echo.selftest import classical_step, lyapunov_numeric, propagator_matrix, random_density
@@ -214,3 +217,60 @@ def test_determinism_bitwise(rng):
     out1 = apply_propagator(psi, prop1)
     out2 = apply_propagator(psi, prop2)
     assert np.array_equal(out1, out2)
+
+
+class TestRunParts:
+    """The thread protocol of the echo ensemble's chunks and of the purity
+    step's row ranges."""
+
+    def test_part_zero_runs_on_the_calling_thread(self):
+        def body(i):
+            seen[i] = threading.current_thread()
+
+        seen = {}
+        run_parts(body, 3, lambda: None)
+        assert seen[0] is threading.current_thread() and len(set(seen.values())) == 3
+
+    def test_one_part_starts_no_thread(self, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
+        ran = []
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        run_parts(ran.append, 1, lambda: None)
+        assert ran == [0]
+
+    @pytest.mark.parametrize("failing, fault", [(0, RuntimeError), (1, RuntimeError),
+                                                (2, RuntimeError), (0, KeyboardInterrupt)])
+    def test_fault_stops_the_others_and_reaches_the_caller(self, failing, fault):
+        # the other parts run until on_fault is called; the fault is raised
+        # once every thread has ended
+        def body(i):
+            if i == failing:
+                raise fault(f"part {i} failed")
+            assert stop.wait(10)
+            ended.append(i)
+
+        stop, ended = threading.Event(), []
+        alive = threading.active_count()
+        with pytest.raises(fault, match=f"part {failing} failed"):
+            run_parts(body, 3, stop.set)
+        assert sorted(ended) == sorted({0, 1, 2} - {failing})
+        assert threading.active_count() == alive
+
+    def test_thread_start_failure_ends_the_started_ones(self, monkeypatch):
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        def body(i):
+            ran.append(i)
+            assert stop.wait(10)
+
+        started, ran, stop, start = [], [], threading.Event(), threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_parts(body, 3, stop.set)
+        assert len(started) == 1 and not started[0].is_alive() and ran == [1]

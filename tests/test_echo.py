@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import torus_echo.dynamics as dynamics
 import torus_echo.echo as echo
 from torus_echo.dynamics import MapParams
 from torus_echo.echo import (
@@ -182,8 +183,8 @@ class TestThreads:
                                                          (64, 9, 2), (64, 1, 1)])
     def test_default_thread_count(self, monkeypatch, cpus, n_states, workers):
         # one thread per usable CPU, at most MAX_WORKERS and n_states
-        monkeypatch.setattr(echo, "usable_cpus", lambda: cpus)
-        assert echo.ensemble_workers(n_states) == workers
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+        assert dynamics.default_workers(n_states) == workers
         space, params = make_space(256), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
         assert np.array_equal(got.values,

@@ -222,6 +222,12 @@ class TestPurity:
         rho[5, 5] = 0.5
         assert purity(rho) == pytest.approx(0.5, abs=1e-14)
 
+    def test_strided_and_real_input(self, rng):
+        rho = random_density(12, rng)
+        assert purity(rho.T) == pytest.approx(purity(rho), rel=1e-14)
+        assert purity(rho[::2, ::3]) == pytest.approx(np.sum(np.abs(rho[::2, ::3]) ** 2), rel=1e-14)
+        assert purity(np.eye(4) / 4) == 0.25
+
     def test_parseval_identity(self, rng):
         for N in (8, 17, 32):
             rho = random_density(N, rng)
