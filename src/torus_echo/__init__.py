@@ -5,7 +5,6 @@ from .hilbert import (
     SpaceDescriptor,
     make_space,
     coherent_state,
-    purity,
 )
 from .dynamics import (
     Curve,
@@ -38,7 +37,7 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpaceDescriptor", "make_space", "coherent_state", "purity",
+    "SpaceDescriptor", "make_space", "coherent_state",
     "Curve", "MapParams", "Propagator", "lyapunov_closed_form", "build_propagator",
     "averaged_le", "build_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",

@@ -38,10 +38,10 @@ from typing import Optional, get_args
 import numpy as np
 
 from . import __version__
-from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS,
+from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS, SweepRow,
                        _prediction_for, sweep_echo, sweep_purity)
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
-from .dynamics import MapParams, default_workers, lyapunov_closed_form, usable_cpus
+from .dynamics import MapParams, lyapunov_closed_form, thread_count, usable_cpus
 from .echo import default_echo_t_max
 from .hilbert import make_space
 
@@ -185,45 +185,26 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _check_memory(config: RunConfig) -> Optional[int]:
-    """Refuses a run whose estimated working set exceeds the memory cap.
-    Returns an echo run's thread count, default_workers(n_states) lowered
-    until the working set fits; None for the other modes."""
+def _check_memory(config: RunConfig) -> int:
+    """Refuses a run whose estimated working set exceeds the memory cap, and
+    returns the run's thread count: an echo run's thread_count(n_states),
+    lowered until the working set fits; the purity step's
+    thread_count(N//2 + 1); 1 for predict.  The peak RSS behind each charge
+    is in docs/DECISIONS.md."""
     N = config.N
     cap = config.memory_cap_gib * 2**30
-    workers = None
-    working_set = 0.0  # predict evaluates closed forms only
+    workers, working_set = 1, 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
-        # The purity step's live arrays, in complex128 units of 16 N^2 bytes:
-        # the stacked half spectrum [c; conj(c[1:])] (1), the half diagonals d
-        # and the step weights (0.5 each), the kernel weights (0.5) and the
-        # int64 gather index (0.25); the chord multiplier (0.5) and rfft2's
-        # half spectrum live only while the step is built.  The step's second
-        # thread allocates no array.  Peak RSS of a one-row sweep on two
-        # threads (on one) is 45.1 (44.9)/47.4 (46.9), 71.2 (70.9)/74.7
-        # (73.8) and 174.2 (173.4)/179.4 (178.6) MiB for gdm/ldm at N = 400,
-        # 800 and 1600, 34.7 MiB after import: the thread's stack and malloc
-        # arena add under 1 MiB.  On two threads it grows by 3.5/3.6 units
-        # from N = 800 to 1600, and lies 3.7/3.8 units above import at
-        # N = 800 (ldm less its Lorentz term below).
-        working_set = 4 * 16 * N ** 2
+        # the step's live arrays, 4 complex N x N units (BENCH_purity-threads.json)
+        workers, working_set = thread_count(N // 2 + 1), 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
-            # lorentz_kernel's float (2x + 1, N) arrays, x = image_cutoff:
-            # dist_sq and the reused exp buffer.  Peak RSS grows by 2.0 such
-            # arrays from x = 5000 to 10^4 at N = 800 (160.6 -> 283.5 MiB).
+            # lorentz_kernel's two float (2x + 1, N) arrays, x = image_cutoff
+            # (BENCH_numpy-fft.json)
             working_set += 2 * 8 * (2 * config.image_cutoff + 1) * N
     elif config.mode in ECHO_MODES:
-        # Complex vectors: the pair's stacked phases (4), shared by averaged_le's
-        # w threads, and 9 per thread.  From N = 2^15 a thread's block is one
-        # state, its (2, 1, N) buffer with coherent_state's temporaries on top.
-        # Peak RSS of an le-sweep with n_states = w grows by 176.5, 288.5 and
-        # 400.5 B per N for w = 1, 2, 3 at N = 2^22 (4 + 7w vectors; 740.7,
-        # 1188.8, 1637.2 MiB), and by up to 330 B per N (w = 2, N = 2^20) and
-        # 579 B per N (w = 4, N = 2^21) where freed temporaries stay mapped;
-        # below 2^15 the block buffers are a fixed 1 MiB in all.  A thread
-        # fewer costs speed, not bits, so w drops to fit the cap before the
-        # run is refused.
-        workers = default_workers(config.n_states)
+        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json); a
+        # thread fewer costs speed, not bits, so w drops to fit the cap first
+        workers = thread_count(config.n_states)
         while workers > 1 and 16 * N * (4 + 9 * workers) > cap:
             workers -= 1
         working_set = 16 * N * (4 + 9 * workers)
@@ -259,7 +240,7 @@ def _write_sweep_csv(path: Path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sweep(config: RunConfig, workers: Optional[int]) -> list:
+def _sweep(config: RunConfig, workers: int) -> list:
     """The rows, curves included, of the configured echo or purity sweep;
     workers is the echo ensemble's thread count."""
     space = make_space(config.N)
@@ -277,12 +258,9 @@ def _sweep(config: RunConfig, workers: Optional[int]) -> list:
                         floor_factor=config.floor_factor)
 
 
-def _environment(config: RunConfig, workers: Optional[int]) -> dict:
-    """The numeric environment a run's timings depend on.  threads is the
-    echo ensemble's workers, the purity step's default_workers(N//2 + 1) or
-    1 for predict."""
-    if workers is None:
-        workers = default_workers(config.N // 2 + 1) if config.mode in PURITY_MODES else 1
+def _environment(workers: int) -> dict:
+    """The numeric environment a run's timings depend on; threads is the
+    run's thread count, from _check_memory."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "nproc": usable_cpus(), "threads": workers}
 
@@ -310,36 +288,34 @@ def run(config: RunConfig) -> int:
     row_status = []
     outputs = []
     manifest = {"version": __version__, "config": asdict(config),
-                "environment": _environment(config, workers), "duration_seconds": None,
+                "environment": _environment(workers), "duration_seconds": None,
                 "rows": row_status, "outputs": outputs}
     try:
         if config.mode == "predict":
-            predictions = [(eps, _prediction_for(config.model, eps, config.N))
-                           for eps in config.epsilon]
-            lines = ["control,prediction"] + [f"{_fmt(eps)},{_fmt(p)}" for eps, p in predictions]
+            rows = [SweepRow(eps, None, None, _prediction_for(config.model, eps, config.N))
+                    for eps in config.epsilon]
+            lines = ["control,prediction"] + [f"{_fmt(r.control)},{_fmt(r.prediction)}" for r in rows]
             (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
             outputs.append("predictions.csv")
-            row_status.extend({"control": eps, "status": "ok", "output": "predictions.csv",
-                               **_prediction_flag(config, p)} for eps, p in predictions)
+            names = ["predictions.csv"] * len(rows)
+        elif config.mode.endswith("-curve"):
+            # a curve mode writes every row's curve, whether or not its fit failed
+            rows = _sweep(config, workers)
+            prefix = "le" if config.mode in ECHO_MODES else "purity"
+            names = [f"curve_{prefix}_{i:03d}.csv" for i in range(len(rows))]
+            for row, name in zip(rows, names):
+                _write_curve_csv(out_dir / name, row.curve)
+                outputs.append(name)
         else:
             rows = _sweep(config, workers)
-            if config.mode.endswith("-curve"):
-                # a curve mode writes every row's curve, whether or not its fit failed
-                prefix = "le" if config.mode in ECHO_MODES else "purity"
-                for i, row in enumerate(rows):
-                    name = f"curve_{prefix}_{i:03d}.csv"
-                    _write_curve_csv(out_dir / name, row.curve)
-                    outputs.append(name)
-                    row_status.append({"control": row.control, "status": "ok", "output": name,
-                                       **_prediction_flag(config, row.prediction)})
-            else:
-                _write_sweep_csv(out_dir / "sweep.csv", rows)
-                outputs.append("sweep.csv")
-                for row in rows:
-                    status = "ok" if row.error is None else f"error: {row.error}"
-                    row_status.append({"control": row.control, "status": status,
-                                       "output": "sweep.csv",
-                                       **_prediction_flag(config, row.prediction)})
+            _write_sweep_csv(out_dir / "sweep.csv", rows)
+            outputs.append("sweep.csv")
+            names = ["sweep.csv"] * len(rows)
+        for row, name in zip(rows, names):
+            failed = row.error is not None and config.mode.endswith("-sweep")
+            row_status.append({"control": row.control,
+                               "status": f"error: {row.error}" if failed else "ok",
+                               "output": name, **_prediction_flag(config, row.prediction)})
     except BaseException as err:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise

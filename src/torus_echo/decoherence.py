@@ -13,21 +13,46 @@ A kernel is its read-only, unit-sum (N, N) weight array c[q, p], and the
 channel's action its read-only real (N, N) multiplier array chat[Q, P].
 
 The chord coefficients are length-N DFTs along the cyclic diagonals
-d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  The channel
-is applied by one fused step, in purity_curve, which keeps rho in that
-layout for the whole run.  The kick half of U is an elementwise phase there,
-and the kinetic half, a quantized linear shear, permutes the chord
-coefficients, (Q, P) -> (Q + b*P, P) up to a phase (Hannay & Berry,
-Physica D 1, 267 (1980)).  So one step D(U rho U^dag) is one forward and one
-inverse FFT pass over the diagonals, O(N^2 log N), for every kernel family.
+d[Q, j] = rho[(Q + j) % N, j] of rho (hilbert.rho_to_chord).  purity_curve
+keeps rho in that layout for the whole run, from
+d[Q, j] = psi0[(Q + j) % N] * conj(psi0[j]), and applies U and the channel
+in one fused step (_diagonal_step).  With K the kinetic phases, chat the
+chord multiplier and c[Q, P] = exp(i*pi*Q*P/N) * chi(Q, P), one step
+rho' = D(U rho U^dag) is
+
+  1. d[Q, j] *= kick[(Q + j) % N] * conj(kick[j])        (D rho D^dag)
+  2. c = fft(d, axis=1)
+  3. c'[Q, P] = chat[Q, P] * conj(K[P]) * c[R, P],  R = (Q - b*P) % N
+  4. d = ifft(c', axis=1)
+
+one forward and one inverse FFT pass, O(N^2 log N), for every kernel family.
+The kick half of U is the elementwise phase of step 1.  The kinetic half, a
+quantized linear shear, permutes the chord coefficients, (Q, P) ->
+(Q + b*P, P) up to a phase (Hannay & Berry, Physica D 1, 267 (1980)), and
+step 3 is that shear followed by the channel.  With F the unitary DFT
+(momentum = F position), rhot = F rho F^dag has entries
+rhot[k, k - P] = (1/N) sum_Q exp(-2*pi*i*k*Q/N) c[Q, P], and the kinetic
+conjugation multiplies them by K[k] conj(K[k - P]), where
+K[k] = exp(-i*pi*b*k^2/N).  That product is
+exp(-2*pi*i*k*(b*P)/N) conj(K[P]): the first factor shifts the sum over Q by
+b*P and the second does not depend on k, so the kinetic step maps c to
+conj(K[P]) c[(Q - b*P) % N, P], and the channel then multiplies by chat (the
+half phase relating c and chi cancels).  Reading k - P mod N needs K to be
+N-periodic, K(k + N) = K(k) exp(-i*pi*b*(2k + N)); that holds for even b at
+every N, odd N included.
 
 rho is Hermitian and the step maps Hermitian matrices to Hermitian matrices;
 for the chord function that is chi(-Q, -P) = conj(chi(Q, P)) (the Weyl
-symmetry; Ozorio de Almeida, Phys. Rep. 295, 265 (1998)).  So the step
-evolves only the rows Q = 0..N//2 of the diagonals.  A source row R > N//2
-of the shear is read as the conjugate of row N - R at column -P, times the
-phase exp(-2*pi*i*(N - R)*P/N), and the purity weighs each held row by the
-number of rows it stands for: 1 for rows 0 and N/2, 2 for the others.
+symmetry; Ozorio de Almeida, Phys. Rep. 295, 265 (1998)), and on the
+diagonals d[N - Q, j] = conj(d[Q, (j - Q) % N]): row N - Q is row Q
+conjugated and shifted.  So the step evolves only the H = N//2 + 1 rows
+Q = 0..N//2.  A source row R > N//2 of step 3 is not held; the symmetry gives
+c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather reads
+it from conj(c[1:]), stacked under c, at column -P, and the phase is folded
+into the step weights chat * conj(K).  Rows 0 and, at even N, N/2 are their
+own partners; every other held row also stands for row N - Q.  So the purity
+is sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight 2 on rows
+1..ceil(N/2) - 1.
 
 The step's oracle is apply_decoherence(apply_to_density(rho)), the same
 step one plain operation at a time; the selftest module holds the O(N^4)
@@ -49,14 +74,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Curve, Propagator, default_workers, run_parts
-from .hilbert import (SpaceDescriptor, _cyclic_diagonals, chord_to_rho, rho_to_chord,
-                      squared_row_norms)
+from .dynamics import Curve, Propagator, run_parts, thread_count
+from .hilbert import (_EXP_UNDERFLOW, SpaceDescriptor, _cyclic_diagonals, chord_to_rho,
+                      rho_to_chord, squared_row_norms)
 
 MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
-_EXP_UNDERFLOW = 746.0  # exp(-746.0) == 0.0 in double precision
 
 
 def _centered_offsets(N: int) -> np.ndarray:
@@ -244,8 +268,8 @@ def apply_decoherence(rho: np.ndarray, chat: np.ndarray) -> np.ndarray:
 def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     """The two phases of one rho' = D(U rho U^dag), D the channel of kernel,
     on the rows Q = 0..N//2 of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j]
-    of a Hermitian rho; see purity_curve.  d is a C-contiguous complex
-    (N//2 + 1, N) array, and the phases overwrite it.
+    of a Hermitian rho, as the module docstring derives it.  d is a
+    C-contiguous complex (N//2 + 1, N) array, and the phases overwrite it.
 
     forward(d, lo, hi) kicks and transforms the rows lo..hi - 1 into the half
     spectrum and writes their conjugates under it; backward(d, lo, hi, norms)
@@ -291,11 +315,11 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     through t_max steps of phases = _diagonal_step(...), over workers
     contiguous ranges of rows.
 
-    The ranges run in parallel (dynamics.run_parts), the first on the calling
-    thread, with a barrier after each phase.  The purity is summed from the
-    rows' squared norms by the calling thread, so it is the same bits on any
-    number of threads.  A fault or interrupt in any thread aborts the
-    barrier, and is re-raised here once every thread has ended.
+    The ranges run in parallel (dynamics.run_parts), with a barrier after
+    each phase.  The purity is summed from the rows' squared norms by the
+    calling thread, so it is the same bits on any number of threads.  A fault
+    or interrupt in any thread aborts the barrier, and is re-raised here once
+    every thread has ended.
     """
     forward, backward = phases
     H, N = d.shape
@@ -304,11 +328,9 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     values = np.empty(t_max + 1)
     squared_row_norms(d, out=norms)
     values[0] = norms.sum() + norms[paired].sum()
-    bounds = [H * w // workers for w in range(workers + 1)]
     barrier = threading.Barrier(workers)
 
-    def steps(part):
-        lo, hi = bounds[part], bounds[part + 1]
+    def steps(part, lo, hi):
         try:
             for t in range(1, t_max + 1):
                 forward(d, lo, hi)
@@ -320,50 +342,20 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
         except threading.BrokenBarrierError:
             pass  # another part's fault, which run_parts raises
 
-    run_parts(steps, workers, barrier.abort)
+    run_parts(steps, H, workers, barrier.abort)
     return values
 
 
 def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
                  t_max: int, workers: Optional[int] = None) -> Curve:
-    """Purity of rho_t under rho' = D(U rho U^dag) from a pure initial state.
+    """Purity P(t), t = 0..t_max, of rho_t under rho' = D(U rho U^dag) from a
+    pure initial state, by the fused step on the held rows of the cyclic
+    diagonals that the module docstring derives.
 
-    rho is held as the H = N//2 + 1 rows Q = 0..N//2 of its cyclic diagonals
-    d[Q, j] = rho[(Q + j) % N, j], which start as psi0[(Q + j) % N] *
-    conj(psi0[j]).  rho is Hermitian, and the step keeps it so, which on the
-    diagonals reads d[N - Q, j] = conj(d[Q, (j - Q) % N]): row N - Q is row Q
-    conjugated and shifted, so the H rows determine rho.  Rows 0 and, at even
-    N, N/2 are their own partners; every other row also stands for row N - Q.
-    So purity = sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight
-    2 on rows 1..ceil(N/2) - 1.  One step, with K the kinetic phases, chat the
-    chord multiplier and c[Q, P] = exp(i*pi*Q*P/N) * chi(Q, P):
-
-      1. d[Q, j] *= kick[(Q + j) % N] * conj(kick[j])        (D rho D^dag)
-      2. c = fft(d, axis=1)                                   (rows 0..N//2)
-      3. c'[Q, P] = chat[Q, P] * conj(K[P]) * c[R, P],  R = (Q - b*P) % N
-      4. d = ifft(c', axis=1)
-
-    In step 3 a source row R > N//2 is not held.  The diagonal symmetry gives
-    c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather
-    reads it from conj(c[1:]), stacked under c, at column -P, and the phase
-    is folded into the step weights chat * conj(K).
-
-    Step 3 is the kinetic conjugation followed by the channel.  With F the
-    unitary DFT (momentum = F position), rhot = F rho F^dag has entries
-    rhot[k, k - P] = (1/N) sum_Q exp(-2*pi*i*k*Q/N) c[Q, P], and the kinetic
-    conjugation multiplies them by K[k] conj(K[k - P]), where
-    K[k] = exp(-i*pi*b*k^2/N).  That product is
-    exp(-2*pi*i*k*(b*P)/N) conj(K[P]): the first factor shifts the sum over
-    Q by b*P and the second does not depend on k, so the kinetic step maps c
-    to conj(K[P]) c[(Q - b*P) % N, P], and the channel then multiplies by
-    chat (the half phase relating c and chi cancels).  Reading k - P mod N
-    needs K to be N-periodic, K(k + N) = K(k) exp(-i*pi*b*(2k + N)); that
-    holds for even b at every N, odd N included.
-
-    The H rows split into w = min(workers, H) contiguous ranges that advance
-    in parallel threads (_advance_diagonals); numpy's FFTs, ufuncs, take and
-    einsum release the GIL.  workers defaults to default_workers(H).  Each
-    row's values, and so the curve, are the same bits whatever w.
+    The H = N//2 + 1 rows split into w = dynamics.thread_count(H, workers)
+    contiguous ranges that advance in parallel threads (_advance_diagonals);
+    numpy's FFTs, ufuncs, take and einsum release the GIL.  Each row's
+    values, and so the curve, are the same bits whatever w.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -373,11 +365,8 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     if kernel.shape != (N, N):
         raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
     H = N // 2 + 1
-    if workers is None:
-        workers = default_workers(H)
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = thread_count(H, workers)
     phases = _diagonal_step(prop, kernel)
     psi = np.asarray(psi0, dtype=np.complex128)
     d = _cyclic_diagonals(psi)[:H] * psi.conj()
-    return Curve(_advance_diagonals(phases, d, t_max, min(workers, H)))
+    return Curve(_advance_diagonals(phases, d, t_max, workers))

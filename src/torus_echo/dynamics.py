@@ -16,13 +16,14 @@ momentum and position bases respectively, with generating functions
 so that p' = p - dV/dq, q' = q - dT/dp' reproduces the classical map.
 Applying U costs two FFTs per step.  The classical map is a selftest oracle.
 
-run_parts is the thread protocol of averaged_le's chunks and purity_curve's
-row ranges.
+thread_count and run_parts are the one thread rule of averaged_le's chunks
+of states and purity_curve's ranges of rows.
 """
 
 import os
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -84,34 +85,41 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def default_workers(parts: int) -> int:
-    """Threads for work that splits into parts independent pieces: one per
-    usable CPU, at most MAX_WORKERS and parts."""
-    return min(usable_cpus(), MAX_WORKERS, parts)
+def thread_count(parts: int, workers: Optional[int] = None) -> int:
+    """Threads for work that splits into parts independent pieces: workers,
+    by default one per usable CPU up to MAX_WORKERS, and at most parts."""
+    if workers is None:
+        workers = min(usable_cpus(), MAX_WORKERS)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, parts)
 
 
-def run_parts(body, parts: int, on_fault) -> None:
-    """Runs body(0) on the calling thread and body(1..parts - 1) each on a
-    plain thread of its own, all at once.  A fault or interrupt in any part,
-    or a thread that cannot start, calls on_fault() so that the other parts
-    can stop early, and is re-raised here once every thread has ended: the
-    calling thread's own, else the first one of another part."""
+def run_parts(body, n: int, workers: int, on_fault) -> None:
+    """Splits range(n) into workers contiguous ranges, part i the range
+    [n*i//workers, n*(i+1)//workers), and runs body(i, lo, hi) for every
+    part at once: part 0 on the calling thread, each other one on a plain
+    thread of its own.  A fault or interrupt in any part, or a thread that
+    cannot start, calls on_fault() so that the other parts can stop early,
+    and is re-raised here once every thread has ended: the calling thread's
+    own, else the first one of another part."""
+    bounds = [n * i // workers for i in range(workers + 1)]
     faults = []
 
     def part(i):
         try:
-            body(i)
+            body(i, bounds[i], bounds[i + 1])
         except BaseException as err:  # handed to the calling thread
             faults.append(err)
             on_fault()
 
     threads = []
     try:
-        for i in range(1, parts):
+        for i in range(1, workers):
             thread = threading.Thread(target=part, args=(i,))
             thread.start()
             threads.append(thread)
-        body(0)
+        body(0, bounds[0], bounds[1])
     except BaseException:
         on_fault()
         raise

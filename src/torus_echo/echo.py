@@ -3,19 +3,19 @@ averages over uniformly drawn coherent states.  The perturbation is its
 rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N).
 
 averaged_le splits the ensemble into one contiguous chunk of states per
-thread, one thread per usable CPU up to dynamics.MAX_WORKERS.  The calling
-thread advances the first chunk and a plain thread each other one; numpy's
-FFTs and ufuncs release the GIL, so the chunks run in parallel.  The chunks'
-curves are summed in state order afterwards, so the mean is bitwise the
-serial one's."""
+thread, dynamics.thread_count(n_states) threads.  The calling thread
+advances the first chunk and a plain thread each other one
+(dynamics.run_parts); numpy's FFTs and ufuncs release the GIL, so the chunks
+run in parallel.  The chunks' curves are summed in state order afterwards,
+so the mean is bitwise the serial one's."""
 
 import threading
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import (Curve, MapParams, build_propagator, default_workers,
-                       lyapunov_closed_form, run_parts)
+from .dynamics import (Curve, MapParams, build_propagator, lyapunov_closed_form, run_parts,
+                       thread_count)
 from .hilbert import SpaceDescriptor, coherent_state
 from .rng import substream
 
@@ -45,12 +45,12 @@ def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar:
 
 def _stacked_phases(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
                     t_max: int):
-    """The pair's kick and kinetic phases, each as one (2, 1, N) array: row 0
-    is k, row 1 is k'.  The Propagators are dropped once copied."""
+    """The pair's kick phases as one (2, 1, N) array, row 0 k and row 1 k',
+    and their common (N,) kinetic phases: T(p) does not depend on k.  The
+    Propagators are dropped once copied."""
     pair = _propagator_pair(space, params, sigma_over_hbar, t_max)
     kick = np.stack([prop.kick_phases for prop in pair])[:, None, :]
-    kinetic = np.stack([prop.kinetic_phases for prop in pair])[:, None, :]
-    return kick, kinetic
+    return kick, pair[0].kinetic_phases
 
 
 def _echo_values(phi: np.ndarray, kick: np.ndarray, kinetic: np.ndarray,
@@ -124,31 +124,25 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     whatever the thread count.
 
     The propagator pair is built once for all states.  The states split into
-    w = min(workers, n_states) contiguous chunks, advanced in parallel: the
-    first by the calling thread, each other one by a thread of its own
-    (dynamics.run_parts), in blocks of max(1, _BLOCK_VALUES // (w * N)).
-    workers defaults to default_workers(n_states); the CLI lowers it to fit
-    its memory cap.  An exception raised in any chunk stops the others at
+    w = dynamics.thread_count(n_states, workers) contiguous chunks, advanced
+    in parallel by dynamics.run_parts, in blocks of
+    max(1, _BLOCK_VALUES // (w * N)).  The CLI lowers workers to fit its
+    memory cap.  An exception raised in any chunk stops the others at
     their next block and is re-raised here once every thread has ended.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if workers is None:
-        workers = default_workers(n_states)
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = thread_count(n_states, workers)
     kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
     centers = ensemble_centers(seed, n_states)
-    workers = min(workers, n_states)
     block = max(1, _BLOCK_VALUES // (workers * space.N))
-    chunks = np.array_split(centers, workers)
     results = [None] * workers
     stop = threading.Event()
 
-    def advance(w):
-        results[w] = _chunk_values(space, chunks[w], kick, kinetic, t_max, block, stop)
+    def advance(part, lo, hi):
+        results[part] = _chunk_values(space, centers[lo:hi], kick, kinetic, t_max, block, stop)
 
-    run_parts(advance, workers, stop.set)
+    run_parts(advance, n_states, workers, stop.set)
     acc = np.zeros(t_max + 1)
     for values in results:
         for row in values:

@@ -1,8 +1,11 @@
+import ast
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from torus_echo import dynamics
 from torus_echo.dynamics import (
     MapParams,
     apply_propagator,
@@ -219,16 +222,67 @@ def test_determinism_bitwise(rng):
     assert np.array_equal(out1, out2)
 
 
+class TestThreadRule:
+    """thread_count and run_parts, the one thread rule of the echo ensemble's
+    chunks of states and of the purity step's ranges of rows."""
+
+    @pytest.mark.parametrize("cpus, parts, workers, count", [
+        (1, 9, None, 1), (2, 9, None, 2), (3, 9, None, 2), (64, 9, None, 2), (64, 1, None, 1),
+        (1, 9, 5, 5), (64, 9, 12, 9), (64, 3, 3, 3), (1, 1, 4, 1)])
+    def test_thread_count(self, monkeypatch, cpus, parts, workers, count):
+        # the default is one thread per usable CPU, at most MAX_WORKERS; a
+        # named count is kept; either is capped at parts
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
+        assert dynamics.thread_count(parts, workers) == count
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_thread_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            dynamics.thread_count(9, workers)
+
+    @pytest.mark.parametrize("n, workers", [(1, 1), (2, 2), (5, 2), (7, 3), (16, 5), (801, 2),
+                                            (9, 9)])
+    def test_ranges_split_range_n(self, n, workers):
+        # every index of range(n) in exactly one range, the ranges ascending
+        # by part, each [n*i//w, n*(i+1)//w), part 0 on the calling thread
+        def body(i, lo, hi):
+            with lock:
+                seen[i] = (lo, hi, threading.current_thread())
+
+        seen, lock = {}, threading.Lock()
+        run_parts(body, n, workers, lambda: None)
+        assert sorted(seen) == list(range(workers))
+        ranges = [seen[i][:2] for i in range(workers)]
+        assert ranges == [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
+        assert [j for lo, hi in ranges for j in range(lo, hi)] == list(range(n))
+        assert all(lo < hi for lo, hi in ranges)
+        assert seen[0][2] is threading.current_thread()
+        assert len({thread for _, _, thread in seen.values()}) == workers
+
+
+def test_only_dynamics_starts_threads():
+    # every runtime thread comes from run_parts: no other module of the
+    # package constructs a threading.Thread
+    package = Path(dynamics.__file__).parent
+    constructing = []
+    for path in sorted(package.glob("*.py")):
+        calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)]
+        if any(getattr(func, "attr", getattr(func, "id", None)) == "Thread" for func in calls):
+            constructing.append(path.name)
+    assert constructing == ["dynamics.py"]
+
+
 class TestRunParts:
     """The thread protocol of the echo ensemble's chunks and of the purity
     step's row ranges."""
 
     def test_part_zero_runs_on_the_calling_thread(self):
-        def body(i):
+        def body(i, lo, hi):
             seen[i] = threading.current_thread()
 
         seen = {}
-        run_parts(body, 3, lambda: None)
+        run_parts(body, 3, 3, lambda: None)
         assert seen[0] is threading.current_thread() and len(set(seen.values())) == 3
 
     def test_one_part_starts_no_thread(self, monkeypatch):
@@ -237,15 +291,15 @@ class TestRunParts:
 
         ran = []
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        run_parts(ran.append, 1, lambda: None)
-        assert ran == [0]
+        run_parts(lambda *part: ran.append(part), 4, 1, lambda: None)
+        assert ran == [(0, 0, 4)]
 
     @pytest.mark.parametrize("failing, fault", [(0, RuntimeError), (1, RuntimeError),
                                                 (2, RuntimeError), (0, KeyboardInterrupt)])
     def test_fault_stops_the_others_and_reaches_the_caller(self, failing, fault):
         # the other parts run until on_fault is called; the fault is raised
         # once every thread has ended
-        def body(i):
+        def body(i, lo, hi):
             if i == failing:
                 raise fault(f"part {i} failed")
             assert stop.wait(10)
@@ -254,7 +308,7 @@ class TestRunParts:
         stop, ended = threading.Event(), []
         alive = threading.active_count()
         with pytest.raises(fault, match=f"part {failing} failed"):
-            run_parts(body, 3, stop.set)
+            run_parts(body, 3, 3, stop.set)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
         assert threading.active_count() == alive
 
@@ -265,12 +319,12 @@ class TestRunParts:
             started.append(thread)
             start(thread)
 
-        def body(i):
+        def body(i, lo, hi):
             ran.append(i)
             assert stop.wait(10)
 
         started, ran, stop, start = [], [], threading.Event(), threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", start_once)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            run_parts(body, 3, stop.set)
+            run_parts(body, 3, 3, stop.set)
         assert len(started) == 1 and not started[0].is_alive() and ran == [1]

@@ -184,14 +184,14 @@ class TestThreads:
     def test_default_thread_count(self, monkeypatch, cpus, n_states, workers):
         # one thread per usable CPU, at most MAX_WORKERS and n_states
         monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
-        assert dynamics.default_workers(n_states) == workers
+        assert dynamics.thread_count(n_states) == workers
         space, params = make_space(256), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
         assert np.array_equal(got.values,
                               direct_averaged_le(space, params, 1.3, 10, n_states, 3))
 
     def test_fewer_states_than_workers(self, monkeypatch):
-        # w = min(workers, n_states): two chunks of one state, no empty third
+        # w = thread_count(n_states, workers): two chunks of one state, no empty third
         def counting(space, centers, *rest):
             sizes.append(len(centers))
             return chunk_values(space, centers, *rest)

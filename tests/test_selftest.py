@@ -44,5 +44,6 @@ def test_oracles_stay_out_of_the_runtime_modules():
 
 
 def test_package_exports_no_single_step_path():
-    # both stay defined in dynamics / echo, where the benchmark traces them
-    assert [n for n in ("apply_propagator", "le_curve") if hasattr(torus_echo, n)] == []
+    # each stays defined in dynamics / echo / hilbert, where the benchmark traces it
+    names = ("apply_propagator", "le_curve", "purity")
+    assert [n for n in names if hasattr(torus_echo, n) or n in torus_echo.__all__] == []
