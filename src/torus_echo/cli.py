@@ -198,9 +198,10 @@ def _check_memory(config: RunConfig) -> int:
         # the step's live arrays, 4 complex N x N units (BENCH_purity-threads.json)
         workers, working_set = thread_count(N // 2 + 1), 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
-            # lorentz_kernel's two float (2x + 1, N) arrays, x = image_cutoff
-            # (BENCH_numpy-fft.json)
-            working_set += 2 * 8 * (2 * config.image_cutoff + 1) * N
+            # lorentz_kernel's float (2x + 1, N//2 + 1) arrays, x = image_cutoff:
+            # the squared distances and one band buffer per thread
+            # (BENCH_lorentz-fold.json)
+            working_set += (1 + workers) * 8 * (2 * config.image_cutoff + 1) * (N // 2 + 1)
     elif config.mode in ECHO_MODES:
         # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json); a
         # thread fewer costs speed, not bits, so w drops to fit the cap first

@@ -66,7 +66,9 @@ Kernel families:
   * mixture_kernel      - convex combination of two kernels
 
 All kernels are periodized with the minimal-image representative of each
-grid point, which keeps c(q,p) = c(-q,-p) exact under truncation.
+grid point.  Offsets j and N - j sum the same image terms, so the Gaussian
+and Lorentz sums run over offsets 0..N//2 and are mirrored, which keeps
+c(q,p) = c(-q,-p) exact, bitwise, under truncation.
 """
 
 import threading
@@ -83,16 +85,11 @@ LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
 _SYMMETRY_TOL = 1e-8
 
 
-def _centered_offsets(N: int) -> np.ndarray:
-    """Minimal-image representative of each grid label: 0..N/2, then negative."""
-    q = np.arange(N, dtype=float)
-    return np.where(q <= N // 2, q, q - N)
-
-
 def _finalize(raw: np.ndarray) -> np.ndarray:
-    weights = raw / raw.sum()
-    weights.setflags(write=False)
-    return weights
+    """raw, a fresh array, divided in place by its sum and made read-only."""
+    raw /= raw.sum()
+    raw.setflags(write=False)
+    return raw
 
 
 def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
@@ -102,11 +99,12 @@ def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     N = space.N
     s = epsilon * N / (2.0 * np.pi)
-    offs = _centered_offsets(N)
+    offs = np.arange(N // 2 + 1.0)  # the folded half; offset N - j sums the same terms
     m_max = int(np.ceil(8.5 * s / N)) + 1  # exp(-(8.5)^2/2) ~ 2e-16 tail
-    axis = np.zeros(N)
+    half = np.zeros(offs.size)
     for m in range(-m_max, m_max + 1):
-        axis += np.exp(-((offs - N * m) ** 2) / (2.0 * s * s))
+        half += np.exp(-((offs - N * m) ** 2) / (2.0 * s * s))
+    axis = np.concatenate((half, half[N - offs.size:0:-1]))
     return _finalize(np.outer(axis, axis))
 
 
@@ -141,6 +139,47 @@ def _lorentz_quadrature(s: float, lam_max: float):
     return t, w
 
 
+def _theta_rows(dist_sq: np.ndarray, t_nodes: np.ndarray, bands: np.ndarray,
+                theta: np.ndarray, nodes: range, stop: threading.Event) -> None:
+    """theta[i] = sum over the image rows bands[i] = (lo, hi) of
+    exp(-t_nodes[i] * dist_sq[row]) for the nodes i in nodes, through one
+    reused band buffer; returns early once stop is set, which is checked
+    before each node."""
+    buf = np.empty_like(dist_sq)
+    with np.errstate(under="ignore"):
+        for i in nodes:
+            if stop.is_set():
+                return
+            lo, hi = bands[i]
+            band = buf[:hi - lo]
+            np.multiply(dist_sq[lo:hi], -t_nodes[i], out=band)
+            np.exp(band, out=band)
+            band.sum(axis=0, out=theta[i])                # truncated 1D theta
+
+
+def _lorentz_product(theta: np.ndarray, w: np.ndarray, N: int, workers: int) -> np.ndarray:
+    """raw[j, k] = sum_i w_i theta[i, f(j)] theta[i, f(k)], f(j) = min(j, N - j),
+    from the (n_nodes, N//2 + 1) folded theta sums.
+
+    The (H, H) quadrant is one einsum per range of its rows, over workers
+    ranges in parallel (dynamics.run_parts): einsum runs its own loop, not
+    BLAS, so an entry is the same bits whatever its range, the thread count
+    or BLAS's.  Slicing unfolds the quadrant to (N, N), which makes
+    raw[-j, -k] = raw[j, k] exact."""
+    H = theta.shape[1]
+    rows = np.ascontiguousarray(theta.T)                  # (H, n_nodes)
+    weighted = rows * w
+    raw = np.empty((N, N))
+
+    def product(part, lo, hi):
+        np.einsum("ai,bi->ab", rows[lo:hi], weighted, out=raw[lo:hi, :H])
+
+    run_parts(product, H, workers, lambda: None)
+    raw[:H, H:] = raw[:H, N - H:0:-1]
+    raw[H:] = raw[N - H:0:-1]
+    return raw
+
+
 def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
                    image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Lorentz (heavy-tailed) kernel, c ~ sum_images s/(s^2 + r^2).
@@ -149,22 +188,28 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     (to ~1e-12 relative) through the exponential integral representation
     1/lam = int exp(-t*lam) dt, which factorizes the (j,k) double sum into
     products of one-dimensional truncated theta sums per quadrature node t_i:
-    raw = theta^T diag(w) theta, one GEMM over the (n_nodes, N) theta sums,
-    w_i = t_weight_i * s * exp(-t_i s^2).
+    raw = theta^T diag(w) theta, w_i = t_weight_i * s * exp(-t_i s^2).
 
-    theta is filled node by node in one reused (2x+1, N) buffer, beside the
-    squared image distances dist_sq: all nodes at once would need an
-    (n_nodes, 2x+1, N) temporary, 450 MB at N=800, and two fresh temporaries
-    per node cost ~210k page faults in a fresh process at N=800.  At node t
-    only the band of image rows with t * min(dist_sq[row]) < 746 is
-    evaluated.  That band is contiguous, since an image row's nearest grid
-    point gets farther on both sides of the m = 0 row.  Every row outside it
-    is exp(-746) or less, which is exactly 0.0 in double precision.  The
-    axis-0 sum adds rows one after another, and adding 0.0 to a positive sum
-    changes no bit.  So the kernel is bitwise the full-band sum
-    (selftest.lorentz_kernel_full_band), with a third fewer exp calls at
-    N=800 and the default cutoff; those are the underflowing ones, which
-    take numpy's slow path.
+    Columns j and N - j of theta sum the same image terms, so theta is
+    computed on the folded half j = 0..N//2 only, from the squared image
+    distances dist_sq, a (2x+1, N//2 + 1) array, and _lorentz_product
+    unfolds raw from it.  theta is filled node by node in one reused band
+    buffer per thread (_theta_rows): all nodes at once would need an
+    (n_nodes, 2x+1, N//2 + 1) temporary.  At node t only the band of image
+    rows with t * min(dist_sq[row]) < 746 is evaluated.  That band is
+    contiguous, since an image row's nearest grid point gets farther on
+    both sides of the m = 0 row.  Every row outside it is exp(-746) or less,
+    which is exactly 0.0 in double precision.  The axis-0 sum adds rows one
+    after another, and adding 0.0 to a positive sum changes no bit.  So the
+    kernel is bitwise the full-band sum (selftest.lorentz_kernel_full_band),
+    with a third fewer exp calls at N=800 and the default cutoff; those are
+    the underflowing ones, which take numpy's slow path.
+
+    The nodes split into w = dynamics.thread_count(n_nodes) contiguous
+    ranges of about equal band rows, not equal node counts (bands narrow
+    from 2x + 1 rows to 1 as t grows), filled in parallel threads
+    (dynamics.run_parts).  Each node's sum is the same whatever its range,
+    so the kernel is the same bits on any number of threads.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -173,25 +218,27 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     N = space.N
     x = int(image_cutoff)
     s = epsilon * N / (2.0 * np.pi)
-    offs = _centered_offsets(N)
     images = N * np.arange(-x, x + 1, dtype=float)
-    dist_sq = (offs[None, :] - images[:, None]) ** 2      # (2x+1, N)
+    dist_sq = (np.arange(N // 2 + 1.0)[None, :] - images[:, None]) ** 2  # (2x+1, H)
     row_min = dist_sq.min(axis=1)
     lam_max = s * s + 2.0 * dist_sq.max()
     t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
-    theta = np.empty((t_nodes.size, N))
-    buf = np.empty_like(dist_sq)
-    with np.errstate(under="ignore"):
-        for i, t in enumerate(t_nodes):
-            live = np.flatnonzero(t * row_min < _EXP_UNDERFLOW)
-            lo, hi = live[0], live[-1] + 1
-            band = buf[:hi - lo]
-            np.multiply(dist_sq[lo:hi], -t, out=band)
-            np.exp(band, out=band)
-            band.sum(axis=0, out=theta[i])                # truncated 1D theta
-        w = t_weights * s * np.exp(-t_nodes * s * s)
-    del dist_sq, buf, band  # free the (2x+1, N) arrays before the (N, N) GEMM and _finalize
-    return _finalize(theta.T @ (w[:, None] * theta))
+    bands = np.array([(live[0], live[-1] + 1) for live in
+                      (np.flatnonzero(t * row_min < _EXP_UNDERFLOW) for t in t_nodes)])
+    widths = bands[:, 1] - bands[:, 0]
+    first_row = np.cumsum(widths) - widths                # band rows before node i
+    theta = np.empty((t_nodes.size, dist_sq.shape[1]))
+    workers = thread_count(t_nodes.size)
+    stop = threading.Event()
+
+    def fill(part, lo, hi):
+        nodes = range(*np.searchsorted(first_row, (lo, hi)))
+        _theta_rows(dist_sq, t_nodes, bands, theta, nodes, stop)
+
+    run_parts(fill, int(widths.sum()), workers, stop.set)
+    del dist_sq  # free the (2x+1, H) array before the (N, N) product and _finalize
+    w = t_weights * s * np.exp(-t_nodes * s * s)
+    return _finalize(_lorentz_product(theta, w, N, workers))
 
 
 def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,
@@ -230,27 +277,32 @@ def chord_multiplier(c: np.ndarray) -> np.ndarray:
     """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N), a read-only real
     (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1).
 
-    One real 2-D FFT gives it.  F = rfft2(c) holds the columns v = 0..N//2 of
-    F[u, v] = sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), so chat[Q, P] is
-    F[-P, -Q] (indices mod N): the real part of F[-P, Q] for Q <= N//2, and of
-    F[P, N - Q] above, since F[u, v] = conj(F[-u, -v]) for a real c.  That
-    symmetry also makes the imaginary residue of the stored half the residue
-    of the whole spectrum.
+    One real 2-D FFT gives it.  Its half spectrum F[u, v] =
+    sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), v = 0..N//2, is taken as
+    G = F^T: a real FFT along the rows of c, then a complex FFT along the
+    rows of the transposed copy, each over contiguous rows; it is bitwise
+    rfft2(c).T (selftest.chord_multiplier_rfft2 is the rfft2 form).
+    chat[Q, P] is F[-P, -Q] (indices mod N): the real part of F[-P, Q] =
+    G[Q, -P] for Q <= N//2, and of F[P, N - Q] = G[N - Q, P] above, since
+    F[u, v] = conj(F[-u, -v]) for a real c.  That symmetry also makes the
+    imaginary residue of the stored half the residue of the whole spectrum.
     """
     N = c.shape[0]
     if c.shape != (N, N):
         raise ValueError(f"kernel shape {c.shape} is not square")
     H = N // 2 + 1
-    F = np.fft.rfft2(c)                       # (N, H)
-    resid = np.max(np.abs(F.imag))
+    G = np.ascontiguousarray(np.fft.rfft(c, axis=1).T)   # (H, N)
+    np.fft.fft(G, axis=1, out=G)
+    resid = np.max(np.abs(G.imag))
     if resid > _SYMMETRY_TOL:
         raise ValueError(
             f"kernel is not symmetric under (q,p) -> (-q,-p): imaginary "
             f"residue {resid:.3e} in the chord multiplier"
         )
     out = np.empty((N, N))
-    out[:H] = F.real[-np.arange(N)].T         # Q = 0..N//2: F[-P, Q]
-    out[H:] = F.real[:, N - H:0:-1].T         # Q = N//2 + 1..N - 1: F[P, N - Q]
+    out[:H, 0] = G.real[:, 0]                 # Q = 0..N//2: G[Q, -P]
+    out[:H, 1:] = G.real[:, :0:-1]
+    out[H:] = G.real[N - H:0:-1]              # Q = N//2 + 1..N - 1: G[N - Q, P]
     out.setflags(write=False)
     return out
 

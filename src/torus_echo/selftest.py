@@ -5,7 +5,8 @@ The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
-every image row (lorentz_kernel_full_band), the coherent state summed over
+every image row (lorentz_kernel_full_band), the chord multiplier from one
+rfft2 call (chord_multiplier_rfft2), the coherent state summed over
 every lattice image (coherent_state_all_images), the one-state echo loop
 (echo_values_direct), the identity channel (identity_kernel), and the
 classical map (classical_step) with the Benettin estimate of its Lyapunov
@@ -19,9 +20,9 @@ from .analysis import fit_decay_rate
 from .decoherence import (
     LORENTZ_DEFAULT_IMAGE_CUTOFF,
     _advance_diagonals,
-    _centered_offsets,
     _diagonal_step,
     _finalize,
+    _lorentz_product,
     _lorentz_quadrature,
     apply_decoherence,
     chord_multiplier,
@@ -76,6 +77,12 @@ def propagator_matrix(prop: Propagator) -> np.ndarray:
     return F.conj().T @ (prop.kinetic_phases[:, None] * F) @ np.diag(prop.kick_phases)
 
 
+def _centered_offsets(N: int) -> np.ndarray:
+    """Minimal-image representative of each grid label: 0..N/2, then negative."""
+    q = np.arange(N, dtype=float)
+    return np.where(q <= N // 2, q, q - N)
+
+
 def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
                           image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Literal truncated double image sum; oracle for lorentz_kernel (small N)."""
@@ -97,21 +104,33 @@ def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
 def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
                              image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """lorentz_kernel with every image row evaluated at every node, in fresh
-    temporaries; the oracle, bitwise, of its live-band loop."""
+    temporaries, on one thread; the oracle, bitwise, of its live-band loop.
+    It shares the folded product _lorentz_product."""
     N = space.N
     x = int(image_cutoff)
     s = epsilon * N / (2.0 * np.pi)
-    offs = _centered_offsets(N)
     images = N * np.arange(-x, x + 1, dtype=float)
-    dist_sq = (offs[None, :] - images[:, None]) ** 2      # (2x+1, N)
+    dist_sq = (np.arange(N // 2 + 1.0)[None, :] - images[:, None]) ** 2  # (2x+1, H)
     lam_max = s * s + 2.0 * dist_sq.max()
     t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
-    theta = np.empty((t_nodes.size, N))
+    theta = np.empty((t_nodes.size, dist_sq.shape[1]))
     with np.errstate(under="ignore"):
         for i, t in enumerate(t_nodes):
             theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
-        w = t_weights * s * np.exp(-t_nodes * s * s)
-    return _finalize(theta.T @ (w[:, None] * theta))
+    w = t_weights * s * np.exp(-t_nodes * s * s)
+    return _finalize(_lorentz_product(theta, w, N, workers=1))
+
+
+def chord_multiplier_rfft2(c: np.ndarray) -> np.ndarray:
+    """chord_multiplier from one np.fft.rfft2 call, F = rfft2(c) read as
+    chat[Q, P] = F[-P, -Q]; the oracle, bitwise, of its two row passes."""
+    N = c.shape[0]
+    H = N // 2 + 1
+    F = np.fft.rfft2(c)                       # (N, H)
+    out = np.empty((N, N))
+    out[:H] = F.real[-np.arange(N)].T         # Q = 0..N//2: F[-P, Q]
+    out[H:] = F.real[:, N - H:0:-1].T         # Q = N//2 + 1..N - 1: F[P, N - Q]
+    return out
 
 
 def coherent_state_all_images(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
@@ -400,6 +419,19 @@ def check_multiplier_against_double_sum(N=8, seed=6):
     return float(worst), 1e-12
 
 
+def check_multiplier_transforms():
+    """chord_multiplier's two row passes against chord_multiplier_rfft2, for
+    the GDM, LDM and DC kernels at even and odd N."""
+    mismatches = 0
+    for N in (64, 65, 800, 801):
+        space = make_space(N)
+        for kernel in (gaussian_kernel(space, 0.05), lorentz_kernel(space, 0.0011),
+                       depolarizing_kernel(space, 0.3)):
+            mismatches += not np.array_equal(chord_multiplier(kernel),
+                                             chord_multiplier_rfft2(kernel))
+    return float(mismatches), 1.0  # no mismatch, or fail
+
+
 def check_kraus_equivalence(N=8, seed=7):
     rng = np.random.default_rng(seed)
     space = make_space(N)
@@ -476,6 +508,7 @@ ALL_CHECKS = [
     ("echo-blocks-vs-one-state", check_echo_blocks),
     ("coherent-live-vs-all-images", check_coherent_images),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
+    ("multiplier-vs-rfft2", check_multiplier_transforms),
     ("purity-step-vs-composition", check_purity_step),
     ("purity-vs-chord-orbit", check_chord_orbit),
     ("chord-vs-kraus-sum", check_kraus_equivalence),

@@ -254,14 +254,29 @@ class TestRun:
             workers(16, 13 - below)
 
     def test_lorentz_temporaries_charged(self):
-        # two float (2x + 1, N) arrays, 11.9 GiB each at x = 10^6, N = 800
+        # float (2x + 1, N//2 + 1) arrays, 6.0 GiB each at x = 10^6, N = 800
         with pytest.raises(ResourceRefusal):
             _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=10**6))
 
     def test_lorentz_cutoff_admitted_at_default_cap(self):
-        # two arrays at x = 3e5, N = 800: 7.2 GiB with the fused step; the
-        # limit is x ~ 333k, and three arrays would refuse from x ~ 222k
+        # three arrays at x = 3e5, N = 800: 5.4 GiB with the fused step; the
+        # limit on two threads is x ~ 445k
         _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm", image_cutoff=300_000))
+
+    @pytest.mark.parametrize("cpus, arrays", [(1, 2), (2, 3), (64, 3)])
+    def test_lorentz_charge_is_distances_and_a_buffer_per_thread(self, monkeypatch, cpus, arrays):
+        # 1 + w float (2x + 1, N//2 + 1) arrays on w threads, beside the
+        # step's 4 complex N x N units: a cap of exactly that many bytes
+        # admits the run, and a byte less refuses it
+        def check(cap_bytes):
+            return _check_memory(RunConfig(mode="purity-sweep", N=800, model="ldm",
+                                           image_cutoff=10**5, memory_cap_gib=cap_bytes / 2**30))
+
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: cpus)
+        charge = 4 * 16 * 800**2 + arrays * 8 * (2 * 10**5 + 1) * 401
+        assert check(charge) == min(cpus, 2)
+        with pytest.raises(ResourceRefusal):
+            check(charge - 1)
 
     def test_purity_working_set_admits_n8000_at_default_cap(self):
         # 4 complex N x N arrays, above the measured 3.5-3.8: N = 8000 needs
@@ -489,12 +504,15 @@ class TestMain:
         assert (tmp_path / "c.csv").read_text().splitlines()[1:] == [
             "0,1,0", "1,0.5,0.69314718055994529", "2,0,inf"]
 
-    @pytest.mark.parametrize("mode", ["purity-sweep", "purity-curve"])
-    def test_purity_csvs_do_not_depend_on_blas_threads(self, tmp_path, mode):
+    @pytest.mark.parametrize("mode, model, epsilon", [
+        ("purity-sweep", "gdm", "0.004,0.008"), ("purity-curve", "gdm", "0.004,0.008"),
+        ("purity-sweep", "ldm", "0.0005,0.0011"), ("purity-sweep", "mixture", "0.0005,0.0011")],
+        ids=["purity-sweep", "purity-curve", "purity-sweep-ldm", "purity-sweep-mixture"])
+    def test_purity_csvs_do_not_depend_on_blas_threads(self, tmp_path, mode, model, epsilon):
         # fresh interpreters, since OpenBLAS reads its thread count when it
-        # loads; at N = 800 a BLAS reduction over the diagonals would split
-        # across its threads
-        path = _write(tmp_path, PAPER_PURITY)
+        # loads; at N = 800 a BLAS reduction over the diagonals, or a BLAS
+        # product in the Lorentz kernel, would split across its threads
+        path = _write(tmp_path, PAPER_PURITY.replace("model = gdm", f"model = {model}"))
         src = os.path.dirname(os.path.dirname(torus_echo.__file__))
         bodies = []
         for threads in ("1", "2"):
@@ -502,7 +520,7 @@ class TestMain:
                 filter(None, [src, os.environ.get("PYTHONPATH")])))
             dest = tmp_path / threads
             subprocess.run([sys.executable, "-m", "torus_echo.cli", mode, "--config", str(path),
-                            "--out", str(dest), "--set", "epsilon=0.004,0.008",
+                            "--out", str(dest), "--set", f"epsilon={epsilon}",
                             "--set", "transient_skip=0"], env=env, capture_output=True, check=True)
             bodies.append({p.name: p.read_bytes() for p in dest.glob("*.csv")})
         assert bodies[0] and bodies[0] == bodies[1]

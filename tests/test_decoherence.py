@@ -171,6 +171,63 @@ class TestLorentzKernel:
             lorentz_kernel(make_space(16), 0.3, image_cutoff=5)
 
 
+class TestLorentzThreads:
+    """lorentz_kernel's node loop, split by band rows over the default
+    thread count, and its folded product."""
+
+    @staticmethod
+    def recording_parts(monkeypatch, fail_part=None, fault=None):
+        """Record each part's node range; raise fault in the part whose
+        nodes start at 0 (fail_part 0, the calling thread's) or above it."""
+        def recording(dist_sq, t_nodes, bands, theta, nodes, stop):
+            with lock:
+                parts.append(nodes)
+            if fail_part is not None and (nodes.start > 0) == bool(fail_part):
+                raise fault
+            return theta_rows(dist_sq, t_nodes, bands, theta, nodes, stop)
+
+        parts, lock, theta_rows = [], threading.Lock(), decoherence._theta_rows
+        monkeypatch.setattr(decoherence, "_theta_rows", recording)
+        return parts
+
+    @pytest.mark.parametrize("N, eps, cutoff", [(64, 0.3, 20), (96, 0.0005, 100),
+                                                (800, 0.0005, 100), (801, 0.0011, 10)])
+    def test_two_threads_equal_one_bitwise(self, monkeypatch, N, eps, cutoff):
+        space = make_space(N)
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+        one = lorentz_kernel(space, eps, cutoff)
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: 2)
+        parts = self.recording_parts(monkeypatch)
+        assert np.array_equal(lorentz_kernel(space, eps, cutoff), one)
+        # the split is by band rows: the wide bands of the small-t nodes
+        # leave the first part fewer nodes than the second
+        first, second = sorted(parts, key=lambda nodes: nodes.start)
+        assert first.start == 0 and first.stop == second.start
+        assert len(first) < len(second)
+
+    @pytest.mark.parametrize("fail_part", [0, 1], ids=["caller", "worker"])
+    @pytest.mark.parametrize("fault", [RuntimeError("nodes failed"), KeyboardInterrupt()])
+    def test_fault_in_either_part_reaches_the_caller(self, monkeypatch, fail_part, fault):
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: 2)
+        self.recording_parts(monkeypatch, fail_part, fault)
+        alive = threading.active_count()
+        with pytest.raises(type(fault)):
+            lorentz_kernel(make_space(64), 0.3, image_cutoff=20)
+        assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_product_equal_over_any_row_ranges(self, workers):
+        # each quadrant row is one einsum, the same bits in any range
+        rng = np.random.default_rng(5)
+        theta, w = rng.random((40, 7)), rng.random(40)
+        one = decoherence._lorentz_product(theta, w, 13, 1)
+        assert np.array_equal(decoherence._lorentz_product(theta, w, 13, workers), one)
+        # unfolded from the (7, 7) quadrant by j -> min(j, N - j), at odd and even N
+        for N, raw in ((13, one), (12, decoherence._lorentz_product(theta, w, 12, workers))):
+            fold = np.minimum(np.arange(N), N - np.arange(N))
+            assert np.array_equal(raw, one[:7, :7][fold][:, fold])
+
+
 class TestCompletePositivitySurrogate:
     """Kraus form guarantees CP when weights are a probability vector;
     test nonnegativity and unit sum for every kernel family."""
@@ -183,6 +240,19 @@ class TestCompletePositivitySurrogate:
         assert np.all(kernel >= 0.0)
         assert kernel.sum() == pytest.approx(1.0, abs=1e-12)
         assert kernel_symmetry_error(kernel) < 1e-12
+
+
+class TestPointSymmetry:
+    @pytest.mark.parametrize("N", [64, 65, 800, 801])
+    @pytest.mark.parametrize("tag, eps", [("gdm", 0.004), ("gdm", 2.0), ("dc", 0.3),
+                                          ("ldm", 0.0005), ("ldm", 0.3), ("mixture", 0.3)])
+    def test_exact_under_truncation(self, N, tag, eps):
+        # c[-q, -p] == c[q, p] bitwise: offsets j and N - j sum the same
+        # image terms, and a kernel reads both from its folded half; a GDM
+        # width of 2 sums several images per offset
+        c = build_kernel(make_space(N), tag, eps)
+        minus = -np.arange(N) % N
+        assert np.array_equal(c[minus][:, minus], c)
 
 
 class TestMixtureKernel:

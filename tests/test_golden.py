@@ -4,9 +4,9 @@ The CSV bodies are the library's output contract.  Header, integer and empty
 cells must match exactly; float cells to 1e-12 relative (with a 1e-15
 absolute floor for cells at zero, such as -ln P(0)), since the last bits can
 move with the numpy build, and with the BLAS thread count where a run calls
-BLAS: the echo's overlaps, the Lorentz kernel's matrix product and the rate
-fit.  The purity sums call no BLAS; test_cli.py checks purity CSVs byte for
-byte at one and two BLAS threads.
+BLAS: the echo's overlaps and the rate fit.  The purity curves, kernels
+included, call no BLAS; test_cli.py checks purity CSVs byte for byte at one
+and two BLAS threads.
 
 Regenerate the golden files only on purpose, and say why in CHANGES.md:
 

@@ -9,7 +9,8 @@ from torus_echo.selftest import ALL_CHECKS, run_selftest
 
 ORACLE_NAMES = ("translate", "translation_matrix", "propagator_matrix",
                 "apply_decoherence_direct", "lorentz_kernel_direct",
-                "lorentz_kernel_full_band", "coherent_state_all_images",
+                "lorentz_kernel_full_band", "_centered_offsets", "chord_multiplier_rfft2",
+                "coherent_state_all_images",
                 "echo_values_direct", "direct_averaged_le",
                 "dft_position_to_momentum", "dft_momentum_to_position", "loglog_slope",
                 "classical_step", "_tangent_jacobian", "lyapunov_numeric", "identity_kernel",
