@@ -49,9 +49,11 @@ conjugated and shifted.  So the step evolves only the H = N//2 + 1 rows
 Q = 0..N//2.  A source row R > N//2 of step 3 is not held; the symmetry gives
 c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather reads
 it from conj(c[1:]), stacked under c, at column -P, and the phase is folded
-into the step weights chat * conj(K).  Rows 0 and, at even N, N/2 are their
-own partners; every other held row also stands for row N - Q.  So the purity
-is sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight 2 on rows
+into the step weights chat * conj(K).  Those weights are read row by row
+from the kernel's half spectrum, in the step's own threads, so no (N, N)
+multiplier is built.  Rows 0 and, at even N, N/2 are their own partners;
+every other held row also stands for row N - Q.  So the purity is
+sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight 2 on rows
 1..ceil(N/2) - 1.
 
 The step's oracle is apply_decoherence(apply_to_density(rho)), the same
@@ -82,6 +84,10 @@ from .hilbert import (_EXP_UNDERFLOW, SpaceDescriptor, _cyclic_diagonals, chord_
 
 MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
+# Rows per block of the Lorentz product and of the step tables: a block's
+# temporaries stay in cache.  At N=800, 16 to 64 rows time the same, and the
+# step tables over whole ranges take twice as long.
+_BLOCK_ROWS = 32
 _SYMMETRY_TOL = 1e-8
 
 
@@ -161,20 +167,30 @@ def _lorentz_product(theta: np.ndarray, w: np.ndarray, N: int, workers: int) -> 
     """raw[j, k] = sum_i w_i theta[i, f(j)] theta[i, f(k)], f(j) = min(j, N - j),
     from the (n_nodes, N//2 + 1) folded theta sums.
 
-    The (H, H) quadrant is one einsum per range of its rows, over workers
-    ranges in parallel (dynamics.run_parts): einsum runs its own loop, not
-    BLAS, so an entry is the same bits whatever its range, the thread count
-    or BLAS's.  Slicing unfolds the quadrant to (N, N), which makes
-    raw[-j, -k] = raw[j, k] exact."""
+    Only the upper triangle b >= a of the (H, H) quadrant q[a, b] is
+    computed, in blocks of _BLOCK_ROWS rows, each one einsum over the
+    columns from the block's first row on.  The rows split into workers
+    ranges of about equal triangle area, run in parallel
+    (dynamics.run_parts).  einsum runs its own loop, not BLAS, and adds an
+    entry's terms in node order whatever its block, so an entry is the same
+    bits whatever its range, the thread count or BLAS's.  The lower triangle
+    is the upper one mirrored, and slicing unfolds the quadrant to (N, N),
+    which makes raw[k, j] = raw[j, k] = raw[-j, -k] exact."""
     H = theta.shape[1]
-    rows = np.ascontiguousarray(theta.T)                  # (H, n_nodes)
-    weighted = rows * w
+    weighted = theta * w[:, None]
     raw = np.empty((N, N))
+    q = raw[:H, :H]
+    area = np.arange(H, 0, -1)                            # entries b >= a of row a
+    first = np.cumsum(area) - area                        # triangle entries before row a
 
     def product(part, lo, hi):
-        np.einsum("ai,bi->ab", rows[lo:hi], weighted, out=raw[lo:hi, :H])
+        start, stop = np.searchsorted(first, (lo, hi))
+        for a in range(start, stop, _BLOCK_ROWS):
+            end = min(a + _BLOCK_ROWS, stop)
+            np.einsum("ia,ib->ab", theta[:, a:end], weighted[:, a:], out=q[a:end, a:])
 
-    run_parts(product, H, workers, lambda: None)
+    run_parts(product, int(area.sum()), workers, lambda: None)
+    np.copyto(q, q.T.copy(), where=np.tri(H, k=-1, dtype=bool))
     raw[:H, H:] = raw[:H, N - H:0:-1]
     raw[H:] = raw[N - H:0:-1]
     return raw
@@ -273,32 +289,55 @@ def mixture_kernel(k1: np.ndarray, k2: np.ndarray, w: float) -> np.ndarray:
     return weights
 
 
+def _kernel_spectrum(c: np.ndarray, F: np.ndarray, lo: int, hi: int) -> None:
+    """F[lo:hi] = rfft(c[lo:hi], axis=1): the first pass of the kernel's real
+    2-D FFT, over its rows lo..hi - 1, into the complex (N, N//2 + 1) F."""
+    np.fft.rfft(c[lo:hi], axis=1, out=F[lo:hi])
+
+
+def _half_spectrum(F: np.ndarray, G: np.ndarray, lo: int, hi: int) -> float:
+    """G[lo:hi] = fft(F[:, lo:hi].T, axis=1): the second pass, over the rows
+    lo..hi - 1 of the complex (N//2 + 1, N) G = rfft2(c).T, which reads
+    every row of F.  Returns the largest |imaginary part| of those rows."""
+    rows = G[lo:hi]
+    rows[...] = F[:, lo:hi].T
+    np.fft.fft(rows, axis=1, out=rows)
+    return float(np.max(np.abs(rows.imag)))
+
+
+def _check_symmetric(residue: float) -> None:
+    """Rejects a kernel whose half spectrum has an imaginary residue above
+    _SYMMETRY_TOL: the multiplier of a kernel with c(q,p) = c(-q,-p) is real."""
+    if residue > _SYMMETRY_TOL:
+        raise ValueError(
+            f"kernel is not symmetric under (q,p) -> (-q,-p): imaginary "
+            f"residue {residue:.3e} in the chord multiplier"
+        )
+
+
 def chord_multiplier(c: np.ndarray) -> np.ndarray:
     """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N), a read-only real
     (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1).
 
     One real 2-D FFT gives it.  Its half spectrum F[u, v] =
     sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), v = 0..N//2, is taken as
-    G = F^T: a real FFT along the rows of c, then a complex FFT along the
-    rows of the transposed copy, each over contiguous rows; it is bitwise
-    rfft2(c).T (selftest.chord_multiplier_rfft2 is the rfft2 form).
-    chat[Q, P] is F[-P, -Q] (indices mod N): the real part of F[-P, Q] =
-    G[Q, -P] for Q <= N//2, and of F[P, N - Q] = G[N - Q, P] above, since
-    F[u, v] = conj(F[-u, -v]) for a real c.  That symmetry also makes the
-    imaginary residue of the stored half the residue of the whole spectrum.
+    G = F^T in two passes over contiguous rows, _kernel_spectrum and
+    _half_spectrum, the same two that purity_curve runs over its row ranges;
+    it is bitwise rfft2(c).T (selftest.chord_multiplier_rfft2 is the rfft2
+    form).  chat[Q, P] is F[-P, -Q] (indices mod N): the real part of
+    F[-P, Q] = G[Q, -P] for Q <= N//2, and of F[P, N - Q] = G[N - Q, P]
+    above, since F[u, v] = conj(F[-u, -v]) for a real c.  That symmetry also
+    makes the imaginary residue of the stored half the residue of the whole
+    spectrum.
     """
     N = c.shape[0]
     if c.shape != (N, N):
         raise ValueError(f"kernel shape {c.shape} is not square")
     H = N // 2 + 1
-    G = np.ascontiguousarray(np.fft.rfft(c, axis=1).T)   # (H, N)
-    np.fft.fft(G, axis=1, out=G)
-    resid = np.max(np.abs(G.imag))
-    if resid > _SYMMETRY_TOL:
-        raise ValueError(
-            f"kernel is not symmetric under (q,p) -> (-q,-p): imaginary "
-            f"residue {resid:.3e} in the chord multiplier"
-        )
+    F = np.empty((N, H), dtype=np.complex128)
+    _kernel_spectrum(c, F, 0, N)
+    G = np.empty((H, N), dtype=np.complex128)
+    _check_symmetric(_half_spectrum(F, G, 0, H))
     out = np.empty((N, N))
     out[:H, 0] = G.real[:, 0]                 # Q = 0..N//2: G[Q, -P]
     out[:H, 1:] = G.real[:, :0:-1]
@@ -318,31 +357,61 @@ def apply_decoherence(rho: np.ndarray, chat: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_step(prop: Propagator, kernel: np.ndarray):
-    """The two phases of one rho' = D(U rho U^dag), D the channel of kernel,
-    on the rows Q = 0..N//2 of the cyclic diagonals d[Q, j] = rho[(Q + j) % N, j]
-    of a Hermitian rho, as the module docstring derives it.  d is a
-    C-contiguous complex (N//2 + 1, N) array, and the phases overwrite it.
+    """The phases of purity_curve's run of rho' = D(U rho U^dag), D the
+    channel of kernel, on the rows Q = 0..N//2 of the cyclic diagonals
+    d[Q, j] = rho[(Q + j) % N, j] of a Hermitian rho, as the module docstring
+    derives it.  d is a C-contiguous complex (N//2 + 1, N) array, and the
+    steps overwrite it.  Every phase takes a range lo..hi - 1 of those rows.
 
-    forward(d, lo, hi) kicks and transforms the rows lo..hi - 1 into the half
-    spectrum and writes their conjugates under it; backward(d, lo, hi, norms)
-    gathers those rows of the next step from the whole half spectrum, weights
-    and inverts them, and leaves sum_j |d[Q, j]|^2 in norms[Q].  So every
-    row's forward ends before any backward starts, and every backward before
-    the next forward.  Each row's values are the same whatever its range."""
+    Two phases build the step, once per run:
+      spectrum(lo, hi) transforms the kernel rows lo*N//H..hi*N//H - 1
+        (_kernel_spectrum) into the stacked buffer, which the first forward
+        overwrites;
+      tables(lo, hi) takes the rows lo..hi - 1 of the half spectrum
+        (_half_spectrum) into the step weights, then builds those rows of
+        the weights and the gather index in place, and returns their
+        imaginary residue.
+    Two phases make one step:
+      forward(d, lo, hi) kicks and transforms the rows into the half
+        spectrum and writes their conjugates under it;
+      backward(d, lo, hi, norms) gathers the rows of the next step from the
+        whole half spectrum, weights and inverts them, and leaves
+        sum_j |d[Q, j]|^2 in norms[Q].
+    So every range's spectrum ends before any tables start, its tables
+    before any forward starts, every forward before any backward, and every
+    backward before the next forward.  Each row's values are the same
+    whatever its range."""
     N, b = prop.space.N, prop.params.b
     H = N // 2 + 1
-    weights = chord_multiplier(kernel)[:H] * prop.kinetic_phases.conj()
-    Q, P = np.ogrid[:H, :N]
-    R = (Q - b * P) % N                # the source row of c'[Q, P]
-    mq, mp = np.nonzero(R >= H)        # source rows held as their conjugate rows
-    mirror = N - R[mq, mp]
-    weights[mq, mp] *= np.exp(-2j * np.pi * np.arange(N) / N)[mirror * mp % N]
-    gather = R * N + P                 # flat index into stacked = [c; conj(c[1:])]
-    gather[mq, mp] = (H - 1 + mirror) * N + (-mp) % N
-    del R, mq, mp, mirror              # before the stacked buffer is allocated
-    kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases)[:H], prop.kick_phases.conj()
     stacked = np.empty((2 * H - 1, N), dtype=np.complex128)
     c, c_conj = stacked[:H], stacked[H:]
+    spectrum_rows = stacked.reshape(-1)[:N * H].reshape(N, H)  # (2H - 1) N >= N H
+    weights = np.empty((H, N), dtype=np.complex128)
+    gather = np.empty((H, N), dtype=np.int64)  # flat index into stacked = [c; conj(c[1:])]
+    P = np.arange(N)
+    shear = (-b * P) % N                       # R = (Q + shear) % N, the source row of c'[Q, P]
+    phase = np.exp(-2j * np.pi * P / N)
+    kinetic = prop.kinetic_phases.conj()
+    kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases)[:H], prop.kick_phases.conj()
+
+    def spectrum(lo, hi):
+        _kernel_spectrum(kernel, spectrum_rows, lo * N // H, hi * N // H)
+
+    def tables(lo, hi):
+        residue = 0.0
+        for start in range(lo, hi, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, hi)
+            rows = weights[start:stop]
+            residue = max(residue, _half_spectrum(spectrum_rows, weights, start, stop))
+            chat = np.roll(rows.real[:, ::-1], 1, axis=1)  # chat[Q, P] = Re G[Q, -P]
+            np.multiply(chat, kinetic, out=rows)
+            R = np.arange(start, stop)[:, None] + shear
+            np.subtract(R, N, out=R, where=R >= N)
+            mirrored = R >= H                  # source rows held as their conjugate rows
+            np.multiply(rows, phase.take((N - R) * P % N), out=rows, where=mirrored)
+            np.add(R * N, P, out=gather[start:stop])
+            np.copyto(gather[start:stop], (H - 1 + N - R) * N + (-P) % N, where=mirrored)
+        return residue
 
     def forward(d, lo, hi):
         rows = c[lo:hi]
@@ -359,7 +428,7 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
         np.fft.ifft(rows, axis=1, out=rows)
         squared_row_norms(rows, out=norms[lo:hi])
 
-    return forward, backward
+    return spectrum, tables, forward, backward
 
 
 def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.ndarray:
@@ -367,23 +436,32 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     through t_max steps of phases = _diagonal_step(...), over workers
     contiguous ranges of rows.
 
-    The ranges run in parallel (dynamics.run_parts), with a barrier after
-    each phase.  The purity is summed from the rows' squared norms by the
-    calling thread, so it is the same bits on any number of threads.  A fault
-    or interrupt in any thread aborts the barrier, and is re-raised here once
+    The ranges run in parallel (dynamics.run_parts): each builds its share
+    of the step, then advances its rows, with a barrier after each phase.
+    A kernel whose half spectrum has an imaginary residue above
+    _SYMMETRY_TOL, the largest over all ranges, is rejected before the first
+    step.  The purity is summed from the rows' squared norms by the calling
+    thread, so it is the same bits on any number of threads.  A fault or
+    interrupt in any thread aborts the barrier, and is re-raised here once
     every thread has ended.
     """
-    forward, backward = phases
+    spectrum, tables, forward, backward = phases
     H, N = d.shape
     paired = slice(1, (N + 1) // 2)  # the rows that also stand for row N - Q
     norms = np.empty(H)
     values = np.empty(t_max + 1)
     squared_row_norms(d, out=norms)
     values[0] = norms.sum() + norms[paired].sum()
+    residues = np.zeros(workers)
     barrier = threading.Barrier(workers)
 
     def steps(part, lo, hi):
         try:
+            spectrum(lo, hi)
+            barrier.wait()  # a row of the half spectrum reads every kernel row
+            residues[part] = tables(lo, hi)
+            barrier.wait()  # the first forward overwrites the kernel's spectrum
+            _check_symmetric(residues.max())
             for t in range(1, t_max + 1):
                 forward(d, lo, hi)
                 barrier.wait()  # the gather reads every row of the half spectrum
@@ -405,9 +483,12 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     diagonals that the module docstring derives.
 
     The H = N//2 + 1 rows split into w = dynamics.thread_count(H, workers)
-    contiguous ranges that advance in parallel threads (_advance_diagonals);
-    numpy's FFTs, ufuncs, take and einsum release the GIL.  Each row's
-    values, and so the curve, are the same bits whatever w.
+    contiguous ranges that build the step from the kernel (its FFT, weights
+    and gather index) and then advance, in parallel threads
+    (_advance_diagonals); w = 1 starts no thread.  numpy's FFTs, ufuncs,
+    take and einsum release the GIL.  Each row's values, and so the curve,
+    are the same bits whatever w.  A kernel not symmetric under
+    (q,p) -> (-q,-p) raises ValueError before the first step.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -216,16 +217,22 @@ class TestLorentzThreads:
         assert threading.active_count() == alive
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-    def test_product_equal_over_any_row_ranges(self, workers):
-        # each quadrant row is one einsum, the same bits in any range
+    def test_product_equal_over_any_row_ranges(self, monkeypatch, workers):
+        # an entry adds its node terms in order, the same bits in any block and range
         rng = np.random.default_rng(5)
         theta, w = rng.random((40, 7)), rng.random(40)
         one = decoherence._lorentz_product(theta, w, 13, 1)
-        assert np.array_equal(decoherence._lorentz_product(theta, w, 13, workers), one)
-        # unfolded from the (7, 7) quadrant by j -> min(j, N - j), at odd and even N
+        for block in (1, 3, 32):
+            monkeypatch.setattr(decoherence, "_BLOCK_ROWS", block)
+            assert np.array_equal(decoherence._lorentz_product(theta, w, 13, workers), one)
+        direct = np.einsum("ia,ib,i->ab", theta, theta, w)
+        assert np.max(np.abs(one[:7, :7] - direct) / direct) < 1e-14
+        # the upper triangle mirrored, then unfolded from the (7, 7) quadrant
+        # by j -> min(j, N - j), at odd and even N
         for N, raw in ((13, one), (12, decoherence._lorentz_product(theta, w, 12, workers))):
             fold = np.minimum(np.arange(N), N - np.arange(N))
             assert np.array_equal(raw, one[:7, :7][fold][:, fold])
+            assert np.array_equal(raw, raw.T)
 
 
 class TestCompletePositivitySurrogate:
@@ -253,6 +260,8 @@ class TestPointSymmetry:
         c = build_kernel(make_space(N), tag, eps)
         minus = -np.arange(N) % N
         assert np.array_equal(c[minus][:, minus], c)
+        # and c[p, q] == c[q, p]: every family sums the same terms both ways
+        assert np.array_equal(c.T, c)
 
 
 class TestMixtureKernel:
@@ -498,26 +507,59 @@ class TestPurityThreads:
         one = purity_curve(psi, prop, kernel, 6, workers=1).values
         assert np.array_equal(purity_curve(psi, prop, kernel, 6, workers=2).values, one)
 
-    def test_more_threads_than_cores_and_rows(self):
+    @staticmethod
+    def recording_phases(monkeypatch):
+        """Record (phase, lo, hi, thread) for each call of the step's phases:
+        spectrum and tables, which build it, then forward and backward."""
+        def step(prop, kernel):
+            phases = list(diagonal_step(prop, kernel))
+            for i, name in enumerate(("spectrum", "tables", "forward", "backward")):
+                def recording(*args, inner=phases[i], name=name, setup=i < 2):
+                    lo, hi = args[:2] if setup else args[1:3]
+                    with lock:
+                        calls.append((name, lo, hi, threading.current_thread()))
+                    return inner(*args)
+                phases[i] = recording
+            return phases
+
+        calls, lock, diagonal_step = [], threading.Lock(), decoherence._diagonal_step
+        monkeypatch.setattr(decoherence, "_diagonal_step", step)
+        return calls
+
+    @staticmethod
+    def ranges(n, workers):
+        return {(n * i // workers, n * (i + 1) // workers) for i in range(workers)}
+
+    def test_more_threads_than_cores_and_rows(self, monkeypatch):
         # up to 5 ranges of H = 5 rows, with the switch interval shortened: a
-        # row read across a missed barrier would change the bits
+        # row read across a missed barrier, in the set-up or a step, would
+        # change the bits
         space = make_space(9)
         prop = build_propagator(space, MapParams(2, 4, 0.03))
         psi, kernel = coherent_state(space, 0.31, 0.47), random_symmetric_kernel(9, seed=4)
         one = purity_curve(psi, prop, kernel, 12, workers=1).values
+        calls = self.recording_phases(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 3, 5, 8):
+                calls.clear()
                 got = purity_curve(psi, prop, kernel, 12, workers=workers).values
                 assert np.array_equal(got, one), workers
+                # each range built its own share of the step, in a thread of its own
+                parts = min(workers, 5)
+                for name in ("spectrum", "tables"):
+                    mine = [call for call in calls if call[0] == name]
+                    assert {(lo, hi) for _, lo, hi, _ in mine} == self.ranges(5, parts)
+                    assert len({thread for *_, thread in mine}) == parts
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus, N, workers", [(1, 64, 1), (2, 64, 2), (64, 64, 2),
                                                   (64, 2, 2), (64, 1, 1)])
     def test_default_thread_count(self, monkeypatch, cpus, N, workers):
-        # one thread per usable CPU, at most MAX_WORKERS and H = N//2 + 1 rows
+        # one thread per usable CPU, at most MAX_WORKERS and H = N//2 + 1
+        # rows, for the steps and for building them; one thread starts none
         def recording(phases, d, t_max, w):
             counts.append(w)
             return advance(phases, d, t_max, w)
@@ -525,8 +567,12 @@ class TestPurityThreads:
         counts, advance = [], decoherence._advance_diagonals
         monkeypatch.setattr(dynamics, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(decoherence, "_advance_diagonals", recording)
+        calls = self.recording_phases(monkeypatch)
         small_gdm_curve(N)
         assert counts == [workers]
+        threads = {thread for *_, thread in calls}
+        assert len(threads) == workers and threading.main_thread() in threads
+        assert {(lo, hi) for _, lo, hi, _ in calls} == self.ranges(N // 2 + 1, workers)
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -534,19 +580,21 @@ class TestPurityThreads:
 
     @staticmethod
     def failing_phases(monkeypatch, phase, caller_rows, fault):
-        """Make the forward or backward phase of the calling thread's rows
-        (lo = 0) or of the other thread's rows raise fault at step 3."""
+        """Make a phase of the calling thread's rows (lo = 0) or of the other
+        thread's rows raise fault: spectrum or tables (phase 0, 1) at their
+        one call, forward or backward (phase 2, 3) at step 3."""
         def step(prop, kernel):
             phases = list(diagonal_step(prop, kernel))
             inner = phases[phase]
 
-            def failing(d, lo, *rest):
+            def failing(*args):
+                lo = args[0] if phase < 2 else args[1]
                 assert (lo == 0) == (threading.current_thread() is threading.main_thread())
                 if (lo == 0) == caller_rows:
                     calls.append(lo)
-                    if len(calls) == 3:
+                    if len(calls) == (1 if phase < 2 else 3):
                         raise fault
-                return inner(d, lo, *rest)
+                return inner(*args)
 
             phases[phase] = failing
             return phases
@@ -554,7 +602,8 @@ class TestPurityThreads:
         calls, diagonal_step = [], decoherence._diagonal_step
         monkeypatch.setattr(decoherence, "_diagonal_step", step)
 
-    @pytest.mark.parametrize("phase", [0, 1], ids=["forward", "backward"])
+    @pytest.mark.parametrize("phase", [0, 1, 2, 3],
+                             ids=["spectrum", "tables", "forward", "backward"])
     @pytest.mark.parametrize("caller_rows", [True, False], ids=["caller", "worker"])
     def test_fault_in_either_thread_reaches_the_caller(self, monkeypatch, phase, caller_rows):
         self.failing_phases(monkeypatch, phase, caller_rows, RuntimeError("rows failed"))
@@ -564,8 +613,41 @@ class TestPurityThreads:
         assert threading.active_count() == alive
 
     def test_interrupt_ends_the_other_thread(self, monkeypatch):
-        self.failing_phases(monkeypatch, 1, True, KeyboardInterrupt())
+        self.failing_phases(monkeypatch, 3, True, KeyboardInterrupt())
         alive = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             small_gdm_curve(64, workers=2)
+        assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("phase", [0, 1], ids=["spectrum", "tables"])
+    @pytest.mark.parametrize("caller_rows", [True, False], ids=["caller", "worker"])
+    def test_interrupt_in_the_setup_reaches_the_caller(self, monkeypatch, phase, caller_rows):
+        self.failing_phases(monkeypatch, phase, caller_rows, KeyboardInterrupt())
+        alive = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            small_gdm_curve(64, workers=2)
+        assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("small, large", [(3, 30), (30, 3)],
+                             ids=["larger-in-worker-rows", "larger-in-caller-rows"])
+    def test_asymmetric_kernel_rejected_before_any_step(self, monkeypatch, workers, small, large):
+        # imaginary residues in two rows of the half spectrum, H = 33, one in
+        # each range on two threads: the message gives the larger, whichever
+        # range holds it and whichever thread checks first
+        N = 64
+        space = make_space(N)
+        q, p = np.ogrid[:N, :N]
+        kernel = (random_symmetric_kernel(N, seed=3)
+                  + 1e-6 * np.sin(2 * np.pi * (5 * q + small * p) / N)
+                  + 1e-5 * np.sin(2 * np.pi * (7 * q + large * p) / N))
+        residues = np.max(np.abs(np.fft.rfft2(kernel).imag), axis=0)
+        assert np.argmax(residues) == large and residues[small] > decoherence._SYMMETRY_TOL
+        calls = self.recording_phases(monkeypatch)
+        alive = threading.active_count()
+        with pytest.raises(ValueError, match=re.escape(f"imaginary residue {residues.max():.3e}")):
+            purity_curve(coherent_state(space, 0.31, 0.47), build_propagator(space, MapParams(2, 2)),
+                         kernel, 6, workers=workers)
+        assert {(lo, hi) for name, lo, hi, _ in calls if name == "tables"} == self.ranges(33, workers)
+        assert {name for name, *_ in calls} == {"spectrum", "tables"}
         assert threading.active_count() == alive

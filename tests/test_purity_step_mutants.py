@@ -9,13 +9,15 @@ import pytest
 from torus_echo import decoherence, selftest
 
 MUTANTS = {
-    "shear Q + b*P": ("R = (Q - b * P) % N", "R = (Q + b * P) % N"),
+    "shear Q + b*P": ("shear = (-b * P) % N", "shear = (b * P) % N"),
     "swapped kicks": ("_cyclic_diagonals(prop.kick_phases)[:H], prop.kick_phases.conj()",
                       "_cyclic_diagonals(prop.kick_phases.conj())[:H], prop.kick_phases"),
-    "K for conj(K)": ("[:H] * prop.kinetic_phases.conj()", "[:H] * prop.kinetic_phases"),
-    "no conjugation phase": ("weights[mq, mp] *= np.exp(", "_ = np.exp("),
-    "conjugated conjugation phase": ("np.exp(-2j * np.pi * np.arange(N) / N)",
-                                     "np.exp(2j * np.pi * np.arange(N) / N)"),
+    "K for conj(K)": ("prop.kinetic_phases.conj()", "prop.kinetic_phases"),
+    "no conjugation phase": ("out=rows, where=mirrored)", "out=rows, where=False)"),
+    "conjugated conjugation phase": ("np.exp(-2j * np.pi * P / N)", "np.exp(2j * np.pi * P / N)"),
+    # right on one thread, where every range starts at row 0; wrong on two
+    "tables as if the range started at row 0": ("R = np.arange(start, stop)",
+                                                "R = np.arange(start - lo, stop - lo)"),
 }
 
 
