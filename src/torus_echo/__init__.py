@@ -20,7 +20,6 @@ from .decoherence import (
     depolarizing_kernel,
     lorentz_kernel,
     mixture_kernel,
-    chord_multiplier,
     purity_curve,
 )
 from .analysis import (
@@ -41,7 +40,7 @@ __all__ = [
     "Curve", "MapParams", "Propagator", "lyapunov_closed_form", "build_propagator",
     "averaged_le", "build_kernel",
     "gaussian_kernel", "depolarizing_kernel", "lorentz_kernel",
-    "mixture_kernel", "chord_multiplier", "purity_curve",
+    "mixture_kernel", "purity_curve",
     "RateFit", "SweepRow", "FitError", "fit_decay_rate",
     "gdm_rate_prediction", "dc_rate_prediction", "sweep_echo", "sweep_purity",
     "__version__",

@@ -176,6 +176,8 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"key 'floor_factor' must be > 0, got {config.floor_factor}")
     if config.image_cutoff < 10:
         raise ConfigError(f"key 'image_cutoff' must be >= 10, got {config.image_cutoff}")
+    if config.memory_cap_gib <= 0:
+        raise ConfigError(f"key 'memory_cap_gib' must be > 0, got {config.memory_cap_gib}")
     return config
 
 

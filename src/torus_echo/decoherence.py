@@ -50,8 +50,9 @@ Q = 0..N//2.  A source row R > N//2 of step 3 is not held; the symmetry gives
 c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather reads
 it from conj(c[1:]), stacked under c, at column -P, and the phase is folded
 into the step weights chat * conj(K).  Those weights are read row by row
-from the kernel's half spectrum, in the step's own threads, so no (N, N)
-multiplier is built.  Rows 0 and, at even N, N/2 are their own partners;
+from the kernel's half spectrum, taken in two FFT passes in the step's own
+threads, so no (N, N) multiplier is built; chord_multiplier, one rfft2
+call, is their oracle.  Rows 0 and, at even N, N/2 are their own partners;
 every other held row also stands for row N - Q.  So the purity is
 sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight 2 on rows
 1..ceil(N/2) - 1.
@@ -289,22 +290,6 @@ def mixture_kernel(k1: np.ndarray, k2: np.ndarray, w: float) -> np.ndarray:
     return weights
 
 
-def _kernel_spectrum(c: np.ndarray, F: np.ndarray, lo: int, hi: int) -> None:
-    """F[lo:hi] = rfft(c[lo:hi], axis=1): the first pass of the kernel's real
-    2-D FFT, over its rows lo..hi - 1, into the complex (N, N//2 + 1) F."""
-    np.fft.rfft(c[lo:hi], axis=1, out=F[lo:hi])
-
-
-def _half_spectrum(F: np.ndarray, G: np.ndarray, lo: int, hi: int) -> float:
-    """G[lo:hi] = fft(F[:, lo:hi].T, axis=1): the second pass, over the rows
-    lo..hi - 1 of the complex (N//2 + 1, N) G = rfft2(c).T, which reads
-    every row of F.  Returns the largest |imaginary part| of those rows."""
-    rows = G[lo:hi]
-    rows[...] = F[:, lo:hi].T
-    np.fft.fft(rows, axis=1, out=rows)
-    return float(np.max(np.abs(rows.imag)))
-
-
 def _check_symmetric(residue: float) -> None:
     """Rejects a kernel whose half spectrum has an imaginary residue above
     _SYMMETRY_TOL: the multiplier of a kernel with c(q,p) = c(-q,-p) is real."""
@@ -317,31 +302,25 @@ def _check_symmetric(residue: float) -> None:
 
 def chord_multiplier(c: np.ndarray) -> np.ndarray:
     """chat(Q,P) = sum_{q,p} c(q,p) exp(2*pi*i*(p*Q - q*P)/N), a read-only real
-    (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1).
+    (N, N) array (real by kernel symmetry; chat(0,0) = 1, |chat| <= 1); the
+    oracle of the step weights that purity_curve builds in its own threads.
 
-    One real 2-D FFT gives it.  Its half spectrum F[u, v] =
-    sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), v = 0..N//2, is taken as
-    G = F^T in two passes over contiguous rows, _kernel_spectrum and
-    _half_spectrum, the same two that purity_curve runs over its row ranges;
-    it is bitwise rfft2(c).T (selftest.chord_multiplier_rfft2 is the rfft2
-    form).  chat[Q, P] is F[-P, -Q] (indices mod N): the real part of
-    F[-P, Q] = G[Q, -P] for Q <= N//2, and of F[P, N - Q] = G[N - Q, P]
-    above, since F[u, v] = conj(F[-u, -v]) for a real c.  That symmetry also
-    makes the imaginary residue of the stored half the residue of the whole
-    spectrum.
+    One real 2-D FFT gives it: F = rfft2(c), the half spectrum F[u, v] =
+    sum_{q,p} c(q,p) exp(-2*pi*i*(q*u + p*v)/N), v = 0..N//2.  chat[Q, P] is
+    F[-P, -Q] (indices mod N): the real part of F[-P, Q] for Q <= N//2, and
+    of F[P, N - Q] above, since F[u, v] = conj(F[-u, -v]) for a real c.
+    That symmetry also makes the imaginary residue of the stored half the
+    residue of the whole spectrum.
     """
     N = c.shape[0]
     if c.shape != (N, N):
         raise ValueError(f"kernel shape {c.shape} is not square")
     H = N // 2 + 1
-    F = np.empty((N, H), dtype=np.complex128)
-    _kernel_spectrum(c, F, 0, N)
-    G = np.empty((H, N), dtype=np.complex128)
-    _check_symmetric(_half_spectrum(F, G, 0, H))
+    F = np.fft.rfft2(c)                       # (N, H)
+    _check_symmetric(float(np.max(np.abs(F.imag))))
     out = np.empty((N, N))
-    out[:H, 0] = G.real[:, 0]                 # Q = 0..N//2: G[Q, -P]
-    out[:H, 1:] = G.real[:, :0:-1]
-    out[H:] = G.real[N - H:0:-1]              # Q = N//2 + 1..N - 1: G[N - Q, P]
+    out[:H] = F.real[-np.arange(N)].T         # Q = 0..N//2: F[-P, Q]
+    out[H:] = F.real[:, N - H:0:-1].T         # Q = N//2 + 1..N - 1: F[P, N - Q]
     out.setflags(write=False)
     return out
 
@@ -364,12 +343,13 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     steps overwrite it.  Every phase takes a range lo..hi - 1 of those rows.
 
     Two phases build the step, once per run:
-      spectrum(lo, hi) transforms the kernel rows lo*N//H..hi*N//H - 1
-        (_kernel_spectrum) into the stacked buffer, which the first forward
-        overwrites;
-      tables(lo, hi) takes the rows lo..hi - 1 of the half spectrum
-        (_half_spectrum) into the step weights, then builds those rows of
-        the weights and the gather index in place, and returns their
+      spectrum(lo, hi) takes the first pass of the kernel's real 2-D FFT,
+        the row rfft of the kernel rows lo*N//H..hi*N//H - 1, into the
+        stacked buffer, which the first forward overwrites;
+      tables(lo, hi) takes the second pass, the fft of the columns lo..hi - 1
+        of the first, as the rows lo..hi - 1 of the half spectrum
+        G = rfft2(kernel).T, into the step weights, then builds those rows
+        of the weights and the gather index in place, and returns their
         imaginary residue.
     Two phases make one step:
       forward(d, lo, hi) kicks and transforms the rows into the half
@@ -395,14 +375,17 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     kick_rows, kick_cols = _cyclic_diagonals(prop.kick_phases)[:H], prop.kick_phases.conj()
 
     def spectrum(lo, hi):
-        _kernel_spectrum(kernel, spectrum_rows, lo * N // H, hi * N // H)
+        first, last = lo * N // H, hi * N // H
+        np.fft.rfft(kernel[first:last], axis=1, out=spectrum_rows[first:last])
 
     def tables(lo, hi):
         residue = 0.0
         for start in range(lo, hi, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, hi)
             rows = weights[start:stop]
-            residue = max(residue, _half_spectrum(spectrum_rows, weights, start, stop))
+            rows[...] = spectrum_rows[:, start:stop].T
+            np.fft.fft(rows, axis=1, out=rows)            # rows start..stop - 1 of G
+            residue = max(residue, float(np.max(np.abs(rows.imag))))
             chat = np.roll(rows.real[:, ::-1], 1, axis=1)  # chat[Q, P] = Re G[Q, -P]
             np.multiply(chat, kinetic, out=rows)
             R = np.arange(start, stop)[:, None] + shear

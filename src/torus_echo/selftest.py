@@ -5,13 +5,14 @@ The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
-every image row (lorentz_kernel_full_band), the chord multiplier from one
-rfft2 call (chord_multiplier_rfft2), the coherent state summed over
+every image row (lorentz_kernel_full_band), the coherent state summed over
 every lattice image (coherent_state_all_images), the one-state echo loop
 (echo_values_direct), the identity channel (identity_kernel), and the
 classical map (classical_step) with the Benettin estimate of its Lyapunov
 exponent (lyapunov_numeric).  At k = 0 the chord orbit (chord_orbit_purity)
-gives purity_curve's values at production N.
+gives purity_curve's values at production N.  The step's two-pass kernel
+spectrum is checked through decoherence.chord_multiplier, one rfft2 call,
+which the double sum checks in turn.
 """
 
 import numpy as np
@@ -119,18 +120,6 @@ def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
             theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
     w = t_weights * s * np.exp(-t_nodes * s * s)
     return _finalize(_lorentz_product(theta, w, N, workers=1))
-
-
-def chord_multiplier_rfft2(c: np.ndarray) -> np.ndarray:
-    """chord_multiplier from one np.fft.rfft2 call, F = rfft2(c) read as
-    chat[Q, P] = F[-P, -Q]; the oracle, bitwise, of its two row passes."""
-    N = c.shape[0]
-    H = N // 2 + 1
-    F = np.fft.rfft2(c)                       # (N, H)
-    out = np.empty((N, N))
-    out[:H] = F.real[-np.arange(N)].T         # Q = 0..N//2: F[-P, Q]
-    out[H:] = F.real[:, N - H:0:-1].T         # Q = N//2 + 1..N - 1: F[P, N - Q]
-    return out
 
 
 def coherent_state_all_images(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
@@ -419,19 +408,6 @@ def check_multiplier_against_double_sum(N=8, seed=6):
     return float(worst), 1e-12
 
 
-def check_multiplier_transforms():
-    """chord_multiplier's two row passes against chord_multiplier_rfft2, for
-    the GDM, LDM and DC kernels at even and odd N."""
-    mismatches = 0
-    for N in (64, 65, 800, 801):
-        space = make_space(N)
-        for kernel in (gaussian_kernel(space, 0.05), lorentz_kernel(space, 0.0011),
-                       depolarizing_kernel(space, 0.3)):
-            mismatches += not np.array_equal(chord_multiplier(kernel),
-                                             chord_multiplier_rfft2(kernel))
-    return float(mismatches), 1.0  # no mismatch, or fail
-
-
 def check_kraus_equivalence(N=8, seed=7):
     rng = np.random.default_rng(seed)
     space = make_space(N)
@@ -508,7 +484,6 @@ ALL_CHECKS = [
     ("echo-blocks-vs-one-state", check_echo_blocks),
     ("coherent-live-vs-all-images", check_coherent_images),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
-    ("multiplier-vs-rfft2", check_multiplier_transforms),
     ("purity-step-vs-composition", check_purity_step),
     ("purity-vs-chord-orbit", check_chord_orbit),
     ("chord-vs-kraus-sum", check_kraus_equivalence),

@@ -436,8 +436,10 @@ class TestMain:
 
     @pytest.mark.parametrize("mode, line", [("purity-sweep", "epsilon = nan"),
                                             ("le-sweep", "sigma_over_hbar = inf"),
-                                            ("purity-sweep", "memory_cap_gib = nan")])
-    def test_non_finite_number_fails_before_output(self, tmp_path, mode, line, capsys):
+                                            ("purity-sweep", "memory_cap_gib = nan"),
+                                            ("le-sweep", "memory_cap_gib = -1"),
+                                            ("purity-sweep", "memory_cap_gib = 0")])
+    def test_bad_number_fails_before_output(self, tmp_path, mode, line, capsys):
         dest = tmp_path / "out"
         text = (f"mode = {mode}\nN = 32\nmodel = gdm\nepsilon = 0.1\nsigma_over_hbar = 1\n"
                 f"t_max = 5\nout_dir = {dest}\n{line}")

@@ -18,6 +18,11 @@ MUTANTS = {
     # right on one thread, where every range starts at row 0; wrong on two
     "tables as if the range started at row 0": ("R = np.arange(start, stop)",
                                                 "R = np.arange(start - lo, stop - lo)"),
+    # the fft after the transposed copy: forward makes the same call
+    "half spectrum by ifft": (".T\n            np.fft.fft(", ".T\n            np.fft.ifft("),
+    # right on one thread, like the mutant above
+    "half spectrum as if the range started at column 0": (
+        "spectrum_rows[:, start:stop]", "spectrum_rows[:, start - lo:stop - lo]"),
 }
 
 
