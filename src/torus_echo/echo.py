@@ -7,8 +7,15 @@ thread, dynamics.thread_count(n_states) threads.  The calling thread
 advances the first chunk and a plain thread each other one
 (dynamics.run_parts); numpy's FFTs and ufuncs release the GIL, so the chunks
 run in parallel.  The chunks' curves are summed in state order afterwards,
-so the mean is bitwise the serial one's."""
+so the mean is bitwise the serial one's, and the mean of le_curve run one
+state at a time.
 
+One step of both branches is a kick and the kinetic half, the latter as one
+DFT of length N/g on each of the g = gcd(b, N) classes of positions
+(_kinetic_cosets), not an FFT pair of length N.  The values agree with the
+two-FFT oracle, selftest.echo_values_direct, to rounding."""
+
+import math
 import threading
 from typing import Optional
 
@@ -43,37 +50,115 @@ def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar:
             build_propagator(space, MapParams(params.a, params.b, k_prime)))
 
 
+def _kinetic_cosets(N: int, b: int):
+    """The kinetic half f -> ifft(K * fft(f)), K(j) = exp(-i pi b j^2 / N), as
+    one DFT of length M = N/g on each of the g = gcd(b, N) classes of
+    positions (Hannay & Berry, Physica D 1, 267 (1980)).
+
+    The half is a circular convolution with c = ifft(K).  With b' = b/g,
+    K(j + M) = (-1)^(b' M) K(j), so c is nonzero on the one coset r0 + g Z_N
+    alone, r0 = g/2 when b' M is odd and 0 otherwise.  There h(e) = c(r0 + g e)
+    is a chirp of modulus 1/sqrt(M):
+
+        h(e) = h(0) exp(-i pi (b' s^2 - (eps + 2 e) s) / M),  s = gamma e mod M,
+
+    with gamma = b'^-1 mod M and eps = b' M mod 2.  So h(u - v) =
+    h(u) h(-v) / h(0) exp(-2 pi i gamma u v / M), and on each class rho
+
+        (C f)(g u + rho + r0) = h(u)/h(0) fft_M[sqrt(M) h(-v) f(g v + rho)](gamma u mod M),
+
+    fft_M the orthonormal DFT over v.  Returns g, r0, gamma, the chirp
+    h(e)/h(0) for e = 0..M-1, its angles reduced mod 2 pi in integers as in
+    dynamics._reduced_quadratic_angle (each product stays below 4 M^2 <= 2^54
+    for N <= 2^26, so int64 cannot wrap), and sqrt(M) h(0), a unit-modulus
+    sum.
+    """
+    g = math.gcd(b, N)
+    M, b1 = N // g, b // g
+    eps, mod = b1 * M % 2, 2 * M
+    gamma = pow(b1, -1, M)
+    e = np.arange(M, dtype=np.int64)
+    s = gamma * e % M
+    angle = ((b1 % mod) * (s * s % mod) - (eps + 2 * e) * s % mod) % mod
+    chirp = np.exp(-1j * np.pi * angle / M)
+    angle = ((b1 % mod) * (e * e % mod) - eps * e) % mod
+    h0 = np.mean(np.exp(-1j * np.pi * angle / M))
+    return g, g // 2 * eps, gamma, chirp, np.sqrt(M) * h0
+
+
+def _step_tables(kick: np.ndarray, b: int):
+    """The echo step's tables for the (2, N) kick rows of a pair.
+
+    The step holds each state in class layout, S[rho, v] = psi(g v + rho)
+    (_kinetic_cosets), and stores the DFT's output Y before the out-chirp
+    and the output permutation: psi's layout is out_chirp * Y[..., perm].
+    One step is then Y <- fft_M(weights * Y[..., perm]).  Returns
+      - weights, (2, 1, N): each row's kick in class layout, times the
+        in-chirp sqrt(M) h(-v), times the out-chirp h(u)/h(0) permuted into
+        place;
+      - entry, (g, M): the conjugate out-chirp in class layout, which maps an
+        initial state's layout to the stored Y once perm is undone;
+      - perm, (N,) or None: the flat index into Y of each layout position,
+        None where it is the identity (r0 = 0 and gamma = 1: b = 2 at
+        N = 0 mod 4, b = 4 at N = 0 mod 8).
+    """
+    N = kick.shape[-1]
+    g, r0, gamma, chirp, scale = _kinetic_cosets(N, b)
+    M = N // g
+    rho, v = np.arange(g)[:, None], np.arange(M)
+    u = (v - (rho < r0)) % M  # g u + (rho - r0) % g + r0 = g v + rho (mod N)
+    perm = (((rho - r0) % g) * M + gamma * u % M).reshape(N)
+    out_chirp = chirp[u]
+    layout_kick = kick.reshape(2, M, g).transpose(0, 2, 1)
+    weights = layout_kick * (scale * chirp[-v % M])
+    weights *= out_chirp
+    if np.array_equal(perm, np.arange(N)):
+        perm = None
+    return weights.reshape(2, 1, N), out_chirp.conj(), perm
+
+
 def _stacked_phases(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
                     t_max: int):
-    """The pair's kick phases as one (2, 1, N) array, row 0 k and row 1 k',
-    and their common (N,) kinetic phases: T(p) does not depend on k.  The
-    Propagators are dropped once copied."""
-    pair = _propagator_pair(space, params, sigma_over_hbar, t_max)
-    kick = np.stack([prop.kick_phases for prop in pair])[:, None, :]
-    return kick, pair[0].kinetic_phases
+    """The echo step's tables (_step_tables) for the pair's kick phases, row
+    0 k and row 1 k'; the kinetic half depends on b alone.  The Propagators
+    are dropped once their kicks are stacked."""
+    kick = np.stack([prop.kick_phases
+                     for prop in _propagator_pair(space, params, sigma_over_hbar, t_max)])
+    return _step_tables(kick, params.b)
 
 
-def _echo_values(phi: np.ndarray, kick: np.ndarray, kinetic: np.ndarray,
-                 t_max: int) -> np.ndarray:
+def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
     """M(t) for t = 0..t_max of each state of a block, as an (m, t_max + 1)
     array.  phi is a (2, m, N) buffer whose row 0 holds the block's initial
-    states on entry; it is overwritten.
+    states on entry; it is overwritten.  tables are _stacked_phases'.
 
     Both branches of every state advance together in place, k in row 0 and
-    k' in row 1: a kick, one forward FFT, the kinetic phases and one inverse
-    FFT per step.  The operations and their operand order are
-    apply_propagator's, so each value is bitwise the one-state,
-    two-application oracle's (selftest.echo_values_direct).
+    k' in row 1: per step, the output permutation (a take into a scratch
+    block, unless it is the identity), one multiply by the weights and one
+    DFT of length N/g on each class.  The out-chirp and the permutation are
+    the same unitary map on both branches, so each overlap is read from the
+    stored DFT outputs.  The values agree with the one-state, two-FFT oracle
+    (selftest.echo_values_direct) to rounding.
     """
-    m = phi.shape[1]
+    weights, entry, perm = tables
+    m, (g, M) = phi.shape[1], entry.shape
     values = np.empty((m, t_max + 1))
     values[:, 0] = [abs(np.vdot(row, row)) ** 2 for row in phi[0]]
+    layout = phi.reshape(2, m, g, M)
+    # the states' class layout times the conjugate out-chirp, in row 1, then
+    # with the permutation undone: both branches' stored Y
+    np.multiply(phi[0].reshape(m, M, g).transpose(0, 2, 1), entry, out=layout[1])
+    if perm is None:
+        phi[0] = phi[1]
+    else:
+        phi[0][:, perm] = phi[1]
     phi[1] = phi[0]
+    source = phi if perm is None else np.empty_like(phi)
     for t in range(1, t_max + 1):
-        np.multiply(kick, phi, out=phi)
-        np.fft.fft(phi, norm="ortho", out=phi)
-        np.multiply(kinetic, phi, out=phi)
-        np.fft.ifft(phi, norm="ortho", out=phi)
+        if perm is not None:
+            np.take(phi, perm, axis=-1, out=source, mode="clip")
+        np.multiply(weights, source, out=phi)
+        np.fft.fft(layout, norm="ortho", out=layout)
         for i in range(m):
             values[i, t] = abs(np.vdot(phi[1, i], phi[0, i])) ** 2
     return values
@@ -87,10 +172,10 @@ def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
     """
     if psi0.shape != (space.N,):
         raise ValueError(f"state shape {psi0.shape} != ({space.N},), the space dimension")
-    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
     phi = np.empty((2, 1, space.N), dtype=np.complex128)
     phi[0, 0] = psi0
-    return Curve(_echo_values(phi, kick, kinetic, t_max)[0])
+    return Curve(_echo_values(phi, tables, t_max)[0])
 
 
 def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
@@ -99,8 +184,8 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
     return np.array([substream(seed, i).random(2) for i in range(n_states)])
 
 
-def _chunk_values(space: SpaceDescriptor, centers: np.ndarray, kick: np.ndarray,
-                  kinetic: np.ndarray, t_max: int, block: int, stop: threading.Event):
+def _chunk_values(space: SpaceDescriptor, centers: np.ndarray, tables, t_max: int, block: int,
+                  stop: threading.Event):
     """M(t) of the coherent states at centers, one row each, advanced block
     states at a time through one reused (2, block, N) buffer; None once stop
     is set, which is checked before each block."""
@@ -113,7 +198,7 @@ def _chunk_values(space: SpaceDescriptor, centers: np.ndarray, kick: np.ndarray,
         states = phi[:, :len(rows)]
         for i, (q0, p0) in enumerate(rows):
             states[0, i] = coherent_state(space, q0, p0)
-        values[start:start + len(rows)] = _echo_values(states, kick, kinetic, t_max)
+        values[start:start + len(rows)] = _echo_values(states, tables, t_max)
     return values
 
 
@@ -133,14 +218,14 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     workers = thread_count(n_states, workers)
-    kick, kinetic = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
     centers = ensemble_centers(seed, n_states)
     block = max(1, _BLOCK_VALUES // (workers * space.N))
     results = [None] * workers
     stop = threading.Event()
 
     def advance(part, lo, hi):
-        results[part] = _chunk_values(space, centers[lo:hi], kick, kinetic, t_max, block, stop)
+        results[part] = _chunk_values(space, centers[lo:hi], tables, t_max, block, stop)
 
     run_parts(advance, n_states, workers, stop.set)
     acc = np.zeros(t_max + 1)

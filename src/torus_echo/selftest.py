@@ -6,13 +6,16 @@ Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
 every image row (lorentz_kernel_full_band), the coherent state summed over
-every lattice image (coherent_state_all_images), the one-state echo loop
-(echo_values_direct), the identity channel (identity_kernel), and the
-classical map (classical_step) with the Benettin estimate of its Lyapunov
-exponent (lyapunov_numeric).  At k = 0 the chord orbit (chord_orbit_purity)
-gives purity_curve's values at production N.  The step's two-pass kernel
-spectrum is checked through decoherence.chord_multiplier, one rfft2 call,
-which the double sum checks in turn.
+every lattice image (coherent_state_all_images), the one-state, two-FFT
+echo loop (echo_values_direct), the identity channel (identity_kernel), and
+the classical map (classical_step) with the Benettin estimate of its
+Lyapunov exponent (lyapunov_numeric).  The echo step's one-DFT kinetic half,
+read back as a state (kinetic_half_factorized), is checked against
+ifft(K * fft(f)), and its closed-form chirps against ifft(K).  At k = 0 the
+chord orbit (chord_orbit_purity) gives purity_curve's values at production
+N.  The step's two-pass kernel spectrum is checked through
+decoherence.chord_multiplier, one rfft2 call, which the double sum checks in
+turn.
 """
 
 import numpy as np
@@ -40,7 +43,8 @@ from .dynamics import (
     build_propagator,
     lyapunov_closed_form,
 )
-from .echo import _propagator_pair, averaged_le, ensemble_centers
+from .echo import (_echo_values, _kinetic_cosets, _propagator_pair, _step_tables, averaged_le,
+                   ensemble_centers, le_curve)
 from .hilbert import (COHERENT_IMAGE_RANGE, SpaceDescriptor, chord_to_rho, coherent_state,
                       cyclic_diagonals, make_space, purity, rho_to_chord)
 from .rng import substream
@@ -173,6 +177,30 @@ def direct_averaged_le(space, params, sigma_over_hbar, t_max, n_states, seed):
     for q0, p0 in ensemble_centers(seed, n_states):
         acc += echo_values_direct(coherent_state(space, q0, p0), prop, prop_pert, t_max)
     return acc / n_states
+
+
+def one_state_averaged_le(space, params, sigma_over_hbar, t_max, n_states, seed):
+    """averaged_le's mean, one le_curve per state, summed in state order: the
+    same step one state at a time, so equal to averaged_le bitwise."""
+    acc = np.zeros(t_max + 1)
+    for q0, p0 in ensemble_centers(seed, n_states):
+        acc += le_curve(coherent_state(space, q0, p0), space, params, sigma_over_hbar,
+                        t_max).values
+    return acc / n_states
+
+
+def kinetic_half_factorized(f: np.ndarray, b: int) -> np.ndarray:
+    """f -> ifft(K * fft(f)) through the echo step: the tables of a unit kick,
+    one step of echo._echo_values, and its stored DFT output read back as
+    the state, the out-chirp times Y[..., perm] in class layout."""
+    N = len(f)
+    tables = _step_tables(np.ones((2, N), dtype=complex), b)
+    entry, perm = tables[1:]
+    phi = np.empty((2, 1, N), dtype=complex)
+    phi[0, 0] = f
+    _echo_values(phi, tables, 1)
+    y = phi[0, 0] if perm is None else phi[0, 0, perm]
+    return (entry.conj() * y.reshape(entry.shape)).T.reshape(N)
 
 
 def classical_step(point, params: MapParams):
@@ -369,17 +397,44 @@ def check_chord_orbit(N=24, t_max=6):
 
 
 def check_echo_blocks(t_max=12):
-    """averaged_le, whose states advance in blocks, against one state at a
-    time through apply_propagator, on one thread and on two whatever the
-    host; the 9 states cross a block edge at N = 4096."""
+    """averaged_le, whose states advance in blocks, on one thread and on two
+    whatever the host: bitwise the same step run one state at a time, or
+    fail, and within rounding of the one-state, two-FFT oracle.  The 9
+    states cross a block edge at N = 4096; the step's output permutation is
+    not the identity at N = 802 (r0 = 1) and at b = 4, N = 801 (gamma != 1)."""
     worst = 0.0
     for workers in (1, 2):
-        for N in (64, 4096):
-            space, params = make_space(N), MapParams(2, 2, 0.0002)
+        for N, b in ((64, 2), (4096, 2), (802, 2), (801, 4)):
+            space, params = make_space(N), MapParams(2, b, 0.0002)
             got = averaged_le(space, params, 2.5, t_max, n_states=9, seed=5, workers=workers)
+            if not np.array_equal(got.values,
+                                  one_state_averaged_le(space, params, 2.5, t_max, 9, 5)):
+                return np.inf, 1e-13
             expected = direct_averaged_le(space, params, 2.5, t_max, 9, 5)
             worst = max(worst, float(np.max(np.abs(got.values - expected))))
-    return worst, 5e-324  # the smallest double: equal bitwise or fail
+    return worst, 1e-13
+
+
+def check_echo_kinetic(seed=14):
+    """The echo step's kinetic half (kinetic_half_factorized) against
+    ifft(K * fft(f)) at 1e-14 relative, and its closed-form chirps against
+    c = ifft(K), on the coset and as zeros off it, at 1e-15; err is the
+    larger share of its tolerance.  The N include N < b, M = 1 and every
+    r0 / gamma case."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for b in (2, 4, 6):
+        for N in (1, 2, 3, 16, 17, 18, 30, 64, 801, 802, 4096):
+            f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            K = build_propagator(make_space(N), MapParams(2, b)).kinetic_phases
+            direct = np.fft.ifft(K * np.fft.fft(f, norm="ortho"), norm="ortho")
+            err = np.max(np.abs(kinetic_half_factorized(f, b) - direct)) / np.max(np.abs(direct))
+            g, r0, _, chirp, scale = _kinetic_cosets(N, b)
+            c, coset = np.fft.ifft(K), (r0 + g * np.arange(N // g)) % N
+            closed = np.zeros(N, dtype=complex)
+            closed[coset] = scale / np.sqrt(N // g) * chirp
+            worst = max(worst, err / 1e-14, float(np.max(np.abs(c - closed))) / 1e-15)
+    return worst, 1.0
 
 
 def check_coherent_images(seed=13):
@@ -482,6 +537,7 @@ ALL_CHECKS = [
     ("propagator-vs-matrix", check_propagator_matrix),
     ("density-conjugation", check_density_conjugation),
     ("echo-blocks-vs-one-state", check_echo_blocks),
+    ("echo-kinetic-vs-two-fft", check_echo_kinetic),
     ("coherent-live-vs-all-images", check_coherent_images),
     ("multiplier-vs-double-sum", check_multiplier_against_double_sum),
     ("purity-step-vs-composition", check_purity_step),

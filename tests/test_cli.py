@@ -300,10 +300,10 @@ class TestRun:
         assert manifest["outputs"] == [] and manifest["config"]["N"] == 64
 
     def test_echo_chunk_fault_named_in_manifest(self, tmp_path, monkeypatch):
-        def failing_in_threads(phi, kick, kinetic, t_max):
+        def failing_in_threads(phi, tables, t_max):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("second chunk failed")
-            return echo_values(phi, kick, kinetic, t_max)
+            return echo_values(phi, tables, t_max)
 
         echo_values = torus_echo.echo._echo_values
         monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: 2)

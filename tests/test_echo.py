@@ -8,14 +8,25 @@ import torus_echo.dynamics as dynamics
 import torus_echo.echo as echo
 from torus_echo.dynamics import MapParams
 from torus_echo.echo import (
+    _echo_values,
     _propagator_pair,
+    _stacked_phases,
     averaged_le,
     default_echo_t_max,
     ensemble_centers,
     le_curve,
 )
 from torus_echo.hilbert import coherent_state, make_space
-from torus_echo.selftest import direct_averaged_le, echo_values_direct
+from torus_echo.selftest import direct_averaged_le, echo_values_direct, one_state_averaged_le
+
+
+def assert_one_state_step_and_oracle(got, space, params, sigma_over_hbar, t_max, n_states, seed):
+    # bitwise the same step run one state at a time, summed in state order,
+    # so every block, chunk and thread split is exact; and within rounding of
+    # the two-FFT oracle, whose operations the one-DFT step does not run
+    args = (space, params, sigma_over_hbar, t_max, n_states, seed)
+    assert np.array_equal(got.values, one_state_averaged_le(*args))
+    assert np.max(np.abs(got.values - direct_averaged_le(*args))) <= 1e-13
 
 
 class TestPerturbation:
@@ -132,8 +143,8 @@ class TestAveragedLe:
 
 
 class TestBlockKernel:
-    """The blocked in-place step against the one-state, two-application
-    oracle: the same operations in the same order, so equal bitwise."""
+    """The blocked in-place step: bitwise the same step one state at a time,
+    and within rounding of the one-state, two-application oracle."""
 
     @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("N", [64, 256, 4096, 1000])
@@ -141,15 +152,20 @@ class TestBlockKernel:
         # 8 states per block at N = 4096, 2^15 // 1000 = 32 at N = 1000
         space, params = make_space(N), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
-        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+        assert_one_state_step_and_oracle(got, space, params, 1.3, 10, n_states, 3)
 
     @pytest.mark.parametrize("N", [64, 1000])
     def test_le_curve_equals_oracle_bitwise(self, N):
+        # bitwise the first row of a two-state block; within rounding of the oracle
         space, params = make_space(N), MapParams(2, 4, 0.001)
         psi = coherent_state(space, 0.6, 0.25)
+        got = le_curve(psi, space, params, 3.0, 15).values
+        phi = np.empty((2, 2, N), dtype=complex)
+        phi[0] = psi, coherent_state(space, 0.1, 0.8)
+        assert np.array_equal(got, _echo_values(phi, _stacked_phases(space, params, 3.0, 15),
+                                                15)[0])
         prop, prop_pert = _propagator_pair(space, params, 3.0, 15)
-        assert np.array_equal(le_curve(psi, space, params, 3.0, 15).values,
-                              echo_values_direct(psi, prop, prop_pert, 15))
+        assert np.max(np.abs(got - echo_values_direct(psi, prop, prop_pert, 15))) <= 1e-13
 
     def test_zero_sigma_stays_at_one_across_blocks(self):
         curve = averaged_le(make_space(4096), MapParams(2, 2, 0.0002), 0.0, 10, n_states=9, seed=2)
@@ -163,7 +179,8 @@ class TestBlockKernel:
 
 class TestThreads:
     """averaged_le with its thread count named, whatever the host: every
-    split of the ensemble into chunks gives the serial oracle's bits."""
+    split of the ensemble into chunks gives the bits of the step run one
+    state at a time, within rounding of the serial oracle."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
@@ -171,13 +188,13 @@ class TestThreads:
     def test_averaged_le_equals_oracle_bitwise(self, N, n_states, workers):
         space, params = make_space(N), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3, workers=workers)
-        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+        assert_one_state_step_and_oracle(got, space, params, 1.3, 10, n_states, 3)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_state_per_block_from_n_2_15(self, workers):
         space, params = make_space(2**15), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 6, n_states=4, seed=8, workers=workers)
-        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 6, 4, 8))
+        assert_one_state_step_and_oracle(got, space, params, 1.3, 6, 4, 8)
 
     @pytest.mark.parametrize("cpus, n_states, workers", [(1, 9, 1), (2, 9, 2), (3, 9, 2),
                                                          (64, 9, 2), (64, 1, 1)])
@@ -187,8 +204,7 @@ class TestThreads:
         assert dynamics.thread_count(n_states) == workers
         space, params = make_space(256), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
-        assert np.array_equal(got.values,
-                              direct_averaged_le(space, params, 1.3, 10, n_states, 3))
+        assert_one_state_step_and_oracle(got, space, params, 1.3, 10, n_states, 3)
 
     def test_fewer_states_than_workers(self, monkeypatch):
         # w = thread_count(n_states, workers): two chunks of one state, no empty third
@@ -201,7 +217,7 @@ class TestThreads:
         space, params = make_space(256), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=2, seed=4, workers=3)
         assert sizes == [1, 1]
-        assert np.array_equal(got.values, direct_averaged_le(space, params, 1.3, 10, 2, 4))
+        assert_one_state_step_and_oracle(got, space, params, 1.3, 10, 2, 4)
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -225,10 +241,10 @@ class TestThreads:
             sys.setswitchinterval(interval)
 
     def test_chunk_fault_reaches_the_caller(self, monkeypatch):
-        def failing_in_threads(phi, kick, kinetic, t_max):
+        def failing_in_threads(phi, tables, t_max):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("second chunk failed")
-            return echo_values(phi, kick, kinetic, t_max)
+            return echo_values(phi, tables, t_max)
 
         echo_values = echo._echo_values
         monkeypatch.setattr(echo, "_echo_values", failing_in_threads)
@@ -242,18 +258,18 @@ class TestThreads:
         # the calling thread's chunk is interrupted while the second chunk's
         # thread is inside its first of four one-state blocks: that thread
         # ends after the block, and the interrupt reaches the caller
-        def recording(space, centers, kick, kinetic, t_max, block, stop):
+        def recording(space, centers, tables, t_max, block, stop):
             stops.append(stop)
-            return chunk_values(space, centers, kick, kinetic, t_max, block, stop)
+            return chunk_values(space, centers, tables, t_max, block, stop)
 
-        def interrupted(phi, kick, kinetic, t_max):
+        def interrupted(phi, tables, t_max):
             if threading.current_thread() is threading.main_thread():
                 assert entered.wait(10)
                 raise KeyboardInterrupt
             blocks.append(len(phi[0]))
             entered.set()
             assert stops[0].wait(10)
-            return echo_values(phi, kick, kinetic, t_max)
+            return echo_values(phi, tables, t_max)
 
         stops, blocks, entered = [], [], threading.Event()
         chunk_values, echo_values = echo._chunk_values, echo._echo_values
