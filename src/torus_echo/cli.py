@@ -197,8 +197,9 @@ def _check_memory(config: RunConfig) -> int:
     cap = config.memory_cap_gib * 2**30
     workers, working_set = 1, 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
-        # 4 complex N x N units: the step's live arrays and the kernel take 2.75,
-        # and peak RSS grew by at most 2.9 per unit (BENCH_purity-prestep.json)
+        # 4 complex N x N units: the step's live arrays and the kernel take 2.28,
+        # and peak RSS grew by at most 2.41 per unit (BENCH_purity-onecopy.json);
+        # a lower charge would admit more runs, a separate decision
         workers, working_set = thread_count(N // 2 + 1), 4 * 16 * N ** 2
         if config.model in ("ldm", "mixture"):
             # lorentz_kernel's float (2x + 1, N//2 + 1) arrays, x = image_cutoff:

@@ -48,14 +48,14 @@ diagonals d[N - Q, j] = conj(d[Q, (j - Q) % N]): row N - Q is row Q
 conjugated and shifted.  So the step evolves only the H = N//2 + 1 rows
 Q = 0..N//2.  A source row R > N//2 of step 3 is not held; the symmetry gives
 c[R, P] = exp(-2*pi*i*(N - R)*P/N) * conj(c[N - R, -P]), so the gather reads
-it from conj(c[1:]), stacked under c, at column -P, and the phase is folded
-into the step weights chat * conj(K).  Those weights are read row by row
-from the kernel's half spectrum, taken in two FFT passes in the step's own
-threads, so no (N, N) multiplier is built; chord_multiplier, one rfft2
-call, is their oracle.  Rows 0 and, at even N, N/2 are their own partners;
-every other held row also stands for row N - Q.  So the purity is
-sum_j |d[Q, j]|^2 with weight 1 on rows 0 and N/2 and weight 2 on rows
-1..ceil(N/2) - 1.
+it from row N - R of c, at column -P, and conjugates what it read: the half
+spectrum is held once.  The phase is folded into the step weights
+chat * conj(K).  Those weights are read row by row from the kernel's half
+spectrum, taken in two FFT passes in the step's own threads, so no (N, N)
+multiplier is built; chord_multiplier, one rfft2 call, is their oracle.
+Rows 0 and, at even N, N/2 are their own partners; every other held row
+also stands for row N - Q.  So the purity is sum_j |d[Q, j]|^2 with weight 1
+on rows 0 and N/2 and weight 2 on rows 1..ceil(N/2) - 1.
 
 The step's oracle is apply_decoherence(apply_to_density(rho)), the same
 step one plain operation at a time; the selftest module holds the O(N^4)
@@ -345,29 +345,28 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
     Two phases build the step, once per run:
       spectrum(lo, hi) takes the first pass of the kernel's real 2-D FFT,
         the row rfft of the kernel rows lo*N//H..hi*N//H - 1, into the
-        stacked buffer, which the first forward overwrites;
+        half spectrum's buffer, which the first forward overwrites;
       tables(lo, hi) takes the second pass, the fft of the columns lo..hi - 1
         of the first, as the rows lo..hi - 1 of the half spectrum
         G = rfft2(kernel).T, into the step weights, then builds those rows
-        of the weights and the gather index in place, and returns their
-        imaginary residue.
+        of the weights, the gather index and its conjugation mask in place,
+        and returns their imaginary residue.
     Two phases make one step:
-      forward(d, lo, hi) kicks and transforms the rows into the half
-        spectrum and writes their conjugates under it;
+      forward(d, lo, hi) kicks and transforms the rows into the half spectrum;
       backward(d, lo, hi, norms) gathers the rows of the next step from the
-        whole half spectrum, weights and inverts them, and leaves
-        sum_j |d[Q, j]|^2 in norms[Q].
+        whole half spectrum, conjugates the entries read from mirrored rows,
+        weights and inverts them, and leaves sum_j |d[Q, j]|^2 in norms[Q].
     So every range's spectrum ends before any tables start, its tables
     before any forward starts, every forward before any backward, and every
     backward before the next forward.  Each row's values are the same
     whatever its range."""
     N, b = prop.space.N, prop.params.b
     H = N // 2 + 1
-    stacked = np.empty((2 * H - 1, N), dtype=np.complex128)
-    c, c_conj = stacked[:H], stacked[H:]
-    spectrum_rows = stacked.reshape(-1)[:N * H].reshape(N, H)  # (2H - 1) N >= N H
+    c = np.empty((H, N), dtype=np.complex128)
+    spectrum_rows = c.reshape(N, H)
     weights = np.empty((H, N), dtype=np.complex128)
-    gather = np.empty((H, N), dtype=np.int64)  # flat index into stacked = [c; conj(c[1:])]
+    gather = np.empty((H, N), dtype=np.int64)  # flat index into c
+    conjugated = np.empty((H, N), dtype=bool)  # the gathered entries read conjugated
     P = np.arange(N)
     shear = (-b * P) % N                       # R = (Q + shear) % N, the source row of c'[Q, P]
     phase = np.exp(-2j * np.pi * P / N)
@@ -390,10 +389,10 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
             np.multiply(chat, kinetic, out=rows)
             R = np.arange(start, stop)[:, None] + shear
             np.subtract(R, N, out=R, where=R >= N)
-            mirrored = R >= H                  # source rows held as their conjugate rows
+            mirrored = np.greater_equal(R, H, out=conjugated[start:stop])  # source rows above N//2
             np.multiply(rows, phase.take((N - R) * P % N), out=rows, where=mirrored)
             np.add(R * N, P, out=gather[start:stop])
-            np.copyto(gather[start:stop], (H - 1 + N - R) * N + (-P) % N, where=mirrored)
+            np.copyto(gather[start:stop], (N - R) * N + (-P) % N, where=mirrored)
         return residue
 
     def forward(d, lo, hi):
@@ -401,12 +400,11 @@ def _diagonal_step(prop: Propagator, kernel: np.ndarray):
         np.multiply(d[lo:hi], kick_rows[lo:hi], out=rows)
         np.multiply(rows, kick_cols, out=rows)
         np.fft.fft(rows, axis=1, out=rows)
-        first = max(lo, 1)
-        np.conjugate(c[first:hi], out=c_conj[first - 1:hi - 1])
 
     def backward(d, lo, hi, norms):
         rows = d[lo:hi]
-        stacked.take(gather[lo:hi], out=rows, mode="wrap")  # every index is in range
+        c.take(gather[lo:hi], out=rows, mode="wrap")  # every index is in range
+        np.conjugate(rows, out=rows, where=conjugated[lo:hi])
         np.multiply(rows, weights[lo:hi], out=rows)
         np.fft.ifft(rows, axis=1, out=rows)
         squared_row_norms(rows, out=norms[lo:hi])

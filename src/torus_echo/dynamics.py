@@ -48,15 +48,16 @@ class MapParams:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"map integers must be positive, got a={self.a}, b={self.b}")
+        for name, value in (("a", self.a), ("b", self.b)):  # hilbert.make_space's integer test
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
+                raise ValueError(f"map integer {name} must be a positive integer, got {value!r}")
         if self.a % 2 or self.b % 2:
             raise ValueError(
                 f"unsupported parameters: a={self.a}, b={self.b} must be even "
                 "(odd values break periodicity of the quadratic phases)"
             )
-        if self.k < 0:
-            raise ValueError(f"shear amplitude k must be >= 0, got {self.k}")
+        if not 0 <= self.k < np.inf:  # nan fails both comparisons
+            raise ValueError(f"shear amplitude k must be finite and >= 0, got {self.k}")
 
 
 @dataclass(frozen=True)

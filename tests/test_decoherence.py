@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +449,31 @@ class TestPurityCurve:
             purity_curve(self.psi, self.prop, gaussian_kernel(make_space(32), 0.3), 5)
         with pytest.raises(ValueError, match="state shape"):
             purity_curve(self.psi[:, None], self.prop, gaussian_kernel(self.space, 0.3), 5)
+
+
+class TestPurityMemory:
+    """The traced peak of one purity_curve call, the kernel built beforehand,
+    in units of 16 N^2 bytes.  The step's live arrays take about 1.78: the
+    half spectrum, the diagonals and the weights 0.5 each, the gather index
+    0.25 and its conjugation mask 1/32.  The rest is the threads' temporaries,
+    blocks of 32 rows, which add about half a unit at N = 256; so the bound
+    is checked from N = 512 up.  tracemalloc counts numpy's data allocations,
+    so the peak does not depend on the allocator's reuse of freed pages, as
+    RSS does."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("N", [512, 801])
+    def test_traced_peak_within_2_2_units(self, N, workers):
+        space = make_space(N)
+        prop = build_propagator(space, MapParams(2, 2, 0.01))
+        psi, kernel = coherent_state(space, 0.31, 0.47), gaussian_kernel(space, 0.1)
+        tracemalloc.start()
+        try:
+            purity_curve(psi, prop, kernel, 3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 16 * N * N
 
 
 FAMILIES_AT_N800 = [("gdm", 0.5 * 2 * np.pi / 800), ("dc", 0.05), ("ldm", 0.0005), ("mixture", 0.02)]

@@ -54,6 +54,23 @@ class TestMapParams:
         with pytest.raises(ValueError):
             MapParams(2, 2, -0.1)
 
+    @pytest.mark.parametrize("a, b, k, field", [
+        (2.0, 2, 0.01, "map integer a"),
+        (2, 2.0, 0.01, "map integer b"),
+        (np.float64(2), 2, 0.01, "map integer a"),
+        (2, np.float64(2), 0.01, "map integer b"),
+        (True, 2, 0.01, "map integer a"),
+        (2, 2, float("nan"), "shear amplitude k"),
+        (2, 2, float("inf"), "shear amplitude k"),
+    ], ids=["a float", "b float", "a np.float64", "b np.float64", "a bool", "k nan", "k inf"])
+    def test_non_integer_map_or_non_finite_shear_rejected(self, a, b, k, field):
+        with pytest.raises(ValueError, match=field):
+            MapParams(a, b, k)
+
+    def test_numpy_integers_accepted(self):
+        params = MapParams(np.int64(2), np.int64(4), np.float64(0.01))
+        assert (params.a, params.b, params.k) == (2, 4, 0.01)
+
 
 class TestLyapunov:
     def test_paper_value_ab2(self):

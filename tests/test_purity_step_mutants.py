@@ -14,6 +14,7 @@ MUTANTS = {
                       "_cyclic_diagonals(prop.kick_phases.conj())[:H], prop.kick_phases"),
     "K for conj(K)": ("prop.kinetic_phases.conj()", "prop.kinetic_phases"),
     "no conjugation phase": ("out=rows, where=mirrored)", "out=rows, where=False)"),
+    "mirrored entries not conjugated": ("where=conjugated[lo:hi])", "where=False)"),
     "conjugated conjugation phase": ("np.exp(-2j * np.pi * P / N)", "np.exp(2j * np.pi * P / N)"),
     # right on one thread, where every range starts at row 0; wrong on two
     "tables as if the range started at row 0": ("R = np.arange(start, stop)",
