@@ -14,7 +14,7 @@ import numpy as np
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, build_kernel, purity_curve
 from .dynamics import MapParams, build_propagator
 from .echo import averaged_le
-from .hilbert import SpaceDescriptor, coherent_state
+from .hilbert import SpaceDescriptor, _check_integer, coherent_state
 from .rng import substream
 
 DEFAULT_TRANSIENT_SKIP = 2
@@ -62,8 +62,7 @@ def fit_decay_rate(curve, floor_hint: float,
     increase N, or decrease epsilon / sigma so the curve decays slower).
     """
     v = np.asarray(getattr(curve, "values", curve), dtype=float)
-    if transient_skip < 0:
-        raise ValueError(f"transient_skip must be >= 0, got {transient_skip}")
+    _check_integer("transient_skip", transient_skip, 0)
     threshold = floor_factor * floor_hint
     above = np.nonzero(v > threshold)[0]
     if len(above) == 0:

@@ -28,6 +28,7 @@ error, 3 resource refusal.
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -207,12 +208,20 @@ def _check_memory(config: RunConfig) -> int:
             # (BENCH_lorentz-fold.json)
             working_set += (1 + workers) * 8 * (2 * config.image_cutoff + 1) * (N // 2 + 1)
     elif config.mode in ECHO_MODES:
-        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json); a
-        # thread fewer costs speed, not bits, so w drops to fit the cap first
+        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json), and
+        # 16 M/N more per thread where the step's DFT length M = N/gcd(b, N)
+        # has a prime factor above sqrt(M), which numpy's FFT may take by
+        # Bluestein's method (docs/DECISIONS.md, "Echo modes"); a thread
+        # fewer costs speed, not bits, so w drops to fit the cap first
+        rest = M = N // math.gcd(config.b, N)
+        for p in range(2, math.isqrt(M) + 1):
+            while rest % p == 0:
+                rest //= p
+        per_thread = 9 + (16 * M / N if rest > 1 else 0)
         workers = thread_count(config.n_states)
-        while workers > 1 and 16 * N * (4 + 9 * workers) > cap:
+        while workers > 1 and 16 * N * (4 + per_thread * workers) > cap:
             workers -= 1
-        working_set = 16 * N * (4 + 9 * workers)
+        working_set = 16 * N * (4 + per_thread * workers)
     if working_set > cap:
         raise ResourceRefusal(
             f"estimated working set {working_set / 2**30:.1f} GiB exceeds cap "

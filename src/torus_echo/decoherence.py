@@ -74,14 +74,13 @@ and Lorentz sums run over offsets 0..N//2 and are mirrored, which keeps
 c(q,p) = c(-q,-p) exact, bitwise, under truncation.
 """
 
-import threading
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import Curve, Propagator, run_parts, thread_count
-from .hilbert import (_EXP_UNDERFLOW, SpaceDescriptor, _cyclic_diagonals, chord_to_rho,
-                      rho_to_chord, squared_row_norms)
+from .hilbert import (_EXP_UNDERFLOW, SpaceDescriptor, _check_integer, _cyclic_diagonals,
+                      chord_to_rho, rho_to_chord, squared_row_norms)
 
 MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
@@ -102,8 +101,8 @@ def _finalize(raw: np.ndarray) -> np.ndarray:
 def gaussian_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
     """Gaussian diffusion kernel with width s = N*eps/(2*pi) grid cells,
     periodized until the image tail is below 1e-14."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < np.inf:  # nan fails both comparisons
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     N = space.N
     s = epsilon * N / (2.0 * np.pi)
     offs = np.arange(N // 2 + 1.0)  # the folded half; offset N - j sums the same terms
@@ -147,15 +146,15 @@ def _lorentz_quadrature(s: float, lam_max: float):
 
 
 def _theta_rows(dist_sq: np.ndarray, t_nodes: np.ndarray, bands: np.ndarray,
-                theta: np.ndarray, nodes: range, stop: threading.Event) -> None:
+                theta: np.ndarray, nodes: range, sync) -> None:
     """theta[i] = sum over the image rows bands[i] = (lo, hi) of
     exp(-t_nodes[i] * dist_sq[row]) for the nodes i in nodes, through one
-    reused band buffer; returns early once stop is set, which is checked
-    before each node."""
+    reused band buffer; returns early once the barrier sync of
+    dynamics.run_parts is broken, which is checked before each node."""
     buf = np.empty_like(dist_sq)
     with np.errstate(under="ignore"):
         for i in nodes:
-            if stop.is_set():
+            if sync.broken:
                 return
             lo, hi = bands[i]
             band = buf[:hi - lo]
@@ -181,16 +180,13 @@ def _lorentz_product(theta: np.ndarray, w: np.ndarray, N: int, workers: int) -> 
     weighted = theta * w[:, None]
     raw = np.empty((N, N))
     q = raw[:H, :H]
-    area = np.arange(H, 0, -1)                            # entries b >= a of row a
-    first = np.cumsum(area) - area                        # triangle entries before row a
 
-    def product(part, lo, hi):
-        start, stop = np.searchsorted(first, (lo, hi))
-        for a in range(start, stop, _BLOCK_ROWS):
-            end = min(a + _BLOCK_ROWS, stop)
+    def product(part, lo, hi, sync):
+        for a in range(lo, hi, _BLOCK_ROWS):
+            end = min(a + _BLOCK_ROWS, hi)
             np.einsum("ia,ib->ab", theta[:, a:end], weighted[:, a:], out=q[a:end, a:])
 
-    run_parts(product, int(area.sum()), workers, lambda: None)
+    run_parts(product, np.arange(H, 0, -1), workers)  # the entries b >= a of row a
     np.copyto(q, q.T.copy(), where=np.tri(H, k=-1, dtype=bool))
     raw[:H, H:] = raw[:H, N - H:0:-1]
     raw[H:] = raw[N - H:0:-1]
@@ -201,8 +197,8 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
                    image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
     """Lorentz (heavy-tailed) kernel, c ~ sum_images s/(s^2 + r^2).
 
-    The truncated image sum over (2x+1)^2 lattice copies is evaluated exactly
-    (to ~1e-12 relative) through the exponential integral representation
+    The image sum truncated to (2x+1)^2 lattice copies, x = image_cutoff, is
+    evaluated exactly (to ~1e-12 relative) through the exponential integral
     1/lam = int exp(-t*lam) dt, which factorizes the (j,k) double sum into
     products of one-dimensional truncated theta sums per quadrature node t_i:
     raw = theta^T diag(w) theta, w_i = t_weight_i * s * exp(-t_i s^2).
@@ -228,31 +224,25 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     (dynamics.run_parts).  Each node's sum is the same whatever its range,
     so the kernel is the same bits on any number of threads.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if image_cutoff < 10:
-        raise ValueError(f"image_cutoff must be >= 10, got {image_cutoff}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    _check_integer("image_cutoff", image_cutoff, 10)
     N = space.N
-    x = int(image_cutoff)
     s = epsilon * N / (2.0 * np.pi)
-    images = N * np.arange(-x, x + 1, dtype=float)
+    images = N * np.arange(-image_cutoff, image_cutoff + 1, dtype=float)
     dist_sq = (np.arange(N // 2 + 1.0)[None, :] - images[:, None]) ** 2  # (2x+1, H)
     row_min = dist_sq.min(axis=1)
     lam_max = s * s + 2.0 * dist_sq.max()
     t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
     bands = np.array([(live[0], live[-1] + 1) for live in
                       (np.flatnonzero(t * row_min < _EXP_UNDERFLOW) for t in t_nodes)])
-    widths = bands[:, 1] - bands[:, 0]
-    first_row = np.cumsum(widths) - widths                # band rows before node i
     theta = np.empty((t_nodes.size, dist_sq.shape[1]))
     workers = thread_count(t_nodes.size)
-    stop = threading.Event()
 
-    def fill(part, lo, hi):
-        nodes = range(*np.searchsorted(first_row, (lo, hi)))
-        _theta_rows(dist_sq, t_nodes, bands, theta, nodes, stop)
+    def fill(part, lo, hi, sync):
+        _theta_rows(dist_sq, t_nodes, bands, theta, range(lo, hi), sync)
 
-    run_parts(fill, int(widths.sum()), workers, stop.set)
+    run_parts(fill, bands[:, 1] - bands[:, 0], workers)
     del dist_sq  # free the (2x+1, H) array before the (N, N) product and _finalize
     w = t_weights * s * np.exp(-t_nodes * s * s)
     return _finalize(_lorentz_product(theta, w, N, workers))
@@ -418,13 +408,11 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     contiguous ranges of rows.
 
     The ranges run in parallel (dynamics.run_parts): each builds its share
-    of the step, then advances its rows, with a barrier after each phase.
+    of the step, then advances its rows, with sync.wait() after each phase.
     A kernel whose half spectrum has an imaginary residue above
     _SYMMETRY_TOL, the largest over all ranges, is rejected before the first
     step.  The purity is summed from the rows' squared norms by the calling
-    thread, so it is the same bits on any number of threads.  A fault or
-    interrupt in any thread aborts the barrier, and is re-raised here once
-    every thread has ended.
+    thread, so it is the same bits on any number of threads.
     """
     spectrum, tables, forward, backward = phases
     H, N = d.shape
@@ -434,26 +422,22 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     squared_row_norms(d, out=norms)
     values[0] = norms.sum() + norms[paired].sum()
     residues = np.zeros(workers)
-    barrier = threading.Barrier(workers)
 
-    def steps(part, lo, hi):
-        try:
-            spectrum(lo, hi)
-            barrier.wait()  # a row of the half spectrum reads every kernel row
-            residues[part] = tables(lo, hi)
-            barrier.wait()  # the first forward overwrites the kernel's spectrum
-            _check_symmetric(residues.max())
-            for t in range(1, t_max + 1):
-                forward(d, lo, hi)
-                barrier.wait()  # the gather reads every row of the half spectrum
-                backward(d, lo, hi, norms)
-                barrier.wait()  # the next forward overwrites the half spectrum
-                if part == 0:
-                    values[t] = norms.sum() + norms[paired].sum()
-        except threading.BrokenBarrierError:
-            pass  # another part's fault, which run_parts raises
+    def steps(part, lo, hi, sync):
+        spectrum(lo, hi)
+        sync.wait()  # a row of the half spectrum reads every kernel row
+        residues[part] = tables(lo, hi)
+        sync.wait()  # the first forward overwrites the kernel's spectrum
+        _check_symmetric(residues.max())
+        for t in range(1, t_max + 1):
+            forward(d, lo, hi)
+            sync.wait()  # the gather reads every row of the half spectrum
+            backward(d, lo, hi, norms)
+            sync.wait()  # the next forward overwrites the half spectrum
+            if part == 0:
+                values[t] = norms.sum() + norms[paired].sum()
 
-    run_parts(steps, H, workers, barrier.abort)
+    run_parts(steps, H, workers)
     return values
 
 
@@ -471,8 +455,7 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     are the same bits whatever w.  A kernel not symmetric under
     (q,p) -> (-q,-p) raises ValueError before the first step.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_integer("t_max", t_max, 1)
     N = prop.space.N
     if psi0.shape != (N,):
         raise ValueError(f"state shape {psi0.shape} != ({N},), the space dimension")

@@ -16,8 +16,9 @@ momentum and position bases respectively, with generating functions
 so that p' = p - dV/dq, q' = q - dT/dp' reproduces the classical map.
 Applying U costs two FFTs per step.  The classical map is a selftest oracle.
 
-thread_count and run_parts are the one thread rule of averaged_le's chunks
-of states and purity_curve's ranges of rows.
+thread_count and run_parts are the one thread rule and the only thread code
+of the package: averaged_le's chunks of states, purity_curve's ranges of
+rows, and lorentz_kernel's ranges of quadrature nodes and of product rows.
 """
 
 import os
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceDescriptor
+from .hilbert import SpaceDescriptor, _check_integer
 
 # Threads of echo.averaged_le and of decoherence.purity_curve at most: their
 # speed and peak RSS were measured on two CPUs (BENCH_echo-threads.json,
@@ -48,9 +49,8 @@ class MapParams:
     k: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("b", self.b)):  # hilbert.make_space's integer test
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"map integer {name} must be a positive integer, got {value!r}")
+        _check_integer("map integer a", self.a, 1)
+        _check_integer("map integer b", self.b, 1)
         if self.a % 2 or self.b % 2:
             raise ValueError(
                 f"unsupported parameters: a={self.a}, b={self.b} must be even "
@@ -91,28 +91,35 @@ def thread_count(parts: int, workers: Optional[int] = None) -> int:
     by default one per usable CPU up to MAX_WORKERS, and at most parts."""
     if workers is None:
         workers = min(usable_cpus(), MAX_WORKERS)
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    else:
+        _check_integer("workers", workers, 1)
     return min(workers, parts)
 
 
-def run_parts(body, n: int, workers: int, on_fault) -> None:
-    """Splits range(n) into workers contiguous ranges, part i the range
-    [n*i//workers, n*(i+1)//workers), and runs body(i, lo, hi) for every
-    part at once: part 0 on the calling thread, each other one on a plain
-    thread of its own.  A fault or interrupt in any part, or a thread that
-    cannot start, calls on_fault() so that the other parts can stop early,
-    and is re-raised here once every thread has ended: the calling thread's
-    own, else the first one of another part."""
-    bounds = [n * i // workers for i in range(workers + 1)]
-    faults = []
+def run_parts(body, work, workers: int) -> list:
+    """Runs body(part, lo, hi, sync) for the workers parts of work at once,
+    part 0 on the calling thread and each other one on a plain thread of its
+    own, and returns the parts' results in part order.  work is a count n,
+    split into the ranges [n*i//workers, n*(i+1)//workers), or per-item
+    costs, split into the contiguous ranges of the items whose cost prefix
+    starts in [total*i//workers, total*(i+1)//workers).  sync is one
+    threading.Barrier(workers), aborted by a fault or interrupt in any part
+    or a thread that cannot start, so that the other parts stop at their
+    next sync.wait() or check of sync.broken.  Once every thread has ended,
+    the lowest part's fault is re-raised, a BrokenBarrierError only if no
+    part raised anything else."""
+    costs = np.ones(work, dtype=np.int64) if np.ndim(work) == 0 else np.asarray(work)
+    cuts = costs.sum() * np.arange(1, workers) // workers
+    bounds = [0, *np.searchsorted(np.cumsum(costs) - costs, cuts).tolist(), costs.size]
+    sync = threading.Barrier(workers)
+    results, faults = [None] * workers, []
 
     def part(i):
         try:
-            body(i, bounds[i], bounds[i + 1])
-        except BaseException as err:  # handed to the calling thread
-            faults.append(err)
-            on_fault()
+            results[i] = body(i, bounds[i], bounds[i + 1], sync)
+        except BaseException as err:  # raised below, on the calling thread
+            faults.append((isinstance(err, threading.BrokenBarrierError), i, err))
+            sync.abort()
 
     threads = []
     try:
@@ -120,15 +127,16 @@ def run_parts(body, n: int, workers: int, on_fault) -> None:
             thread = threading.Thread(target=part, args=(i,))
             thread.start()
             threads.append(thread)
-        body(0, bounds[0], bounds[1])
+        part(0)
     except BaseException:
-        on_fault()
+        sync.abort()
         raise
     finally:
         for thread in threads:
             thread.join()
     if faults:
-        raise faults[0]
+        raise min(faults)[2]  # a part's own fault before the broken barriers it caused
+    return results
 
 
 def lyapunov_closed_form(a: int, b: int) -> float:

@@ -2,13 +2,10 @@
 averages over uniformly drawn coherent states.  The perturbation is its
 rescaled strength sigma_over_hbar = (k' - k) / hbar, hbar = 1/(2*pi*N).
 
-averaged_le splits the ensemble into one contiguous chunk of states per
-thread, dynamics.thread_count(n_states) threads.  The calling thread
-advances the first chunk and a plain thread each other one
-(dynamics.run_parts); numpy's FFTs and ufuncs release the GIL, so the chunks
-run in parallel.  The chunks' curves are summed in state order afterwards,
-so the mean is bitwise the serial one's, and the mean of le_curve run one
-state at a time.
+averaged_le advances one contiguous chunk of states per thread of
+dynamics.run_parts, in parallel, as numpy's FFTs and ufuncs release the GIL.
+The chunks' curves are summed in state order afterwards, so the mean is
+bitwise the serial one's, and the mean of le_curve run one state at a time.
 
 One step of both branches is a kick and the kinetic half, the latter as one
 DFT of length N/g on each of the g = gcd(b, N) classes of positions
@@ -16,14 +13,13 @@ DFT of length N/g on each of the g = gcd(b, N) classes of positions
 two-FFT oracle, selftest.echo_values_direct, to rounding."""
 
 import math
-import threading
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import (Curve, MapParams, build_propagator, lyapunov_closed_form, run_parts,
                        thread_count)
-from .hilbert import SpaceDescriptor, coherent_state
+from .hilbert import SpaceDescriptor, _check_integer, coherent_state
 from .rng import substream
 
 
@@ -43,8 +39,9 @@ _BLOCK_VALUES = 2**15
 def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
                      t_max: int):
     """Validated (k, k') propagators of one echo run, k' = k + sigma_over_hbar * hbar."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_integer("t_max", t_max, 1)
+    if not np.isfinite(sigma_over_hbar):
+        raise ValueError(f"sigma_over_hbar must be finite, got {sigma_over_hbar}")
     k_prime = params.k + sigma_over_hbar * space.hbar
     return (build_propagator(space, params),
             build_propagator(space, MapParams(params.a, params.b, k_prime)))
@@ -185,14 +182,14 @@ def ensemble_centers(seed: int, n_states: int) -> np.ndarray:
 
 
 def _chunk_values(space: SpaceDescriptor, centers: np.ndarray, tables, t_max: int, block: int,
-                  stop: threading.Event):
+                  sync):
     """M(t) of the coherent states at centers, one row each, advanced block
-    states at a time through one reused (2, block, N) buffer; None once stop
-    is set, which is checked before each block."""
+    states at a time through one reused (2, block, N) buffer; None once
+    run_parts' barrier sync is broken, which is checked before each block."""
     phi = np.empty((2, min(block, len(centers)), space.N), dtype=np.complex128)
     values = np.empty((len(centers), t_max + 1))
     for start in range(0, len(centers), block):
-        if stop.is_set():
+        if sync.broken:
             return None
         rows = centers[start:start + block]
         states = phi[:, :len(rows)]
@@ -215,21 +212,17 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     memory cap.  An exception raised in any chunk stops the others at
     their next block and is re-raised here once every thread has ended.
     """
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    _check_integer("n_states", n_states, 1)
     workers = thread_count(n_states, workers)
     tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
     centers = ensemble_centers(seed, n_states)
     block = max(1, _BLOCK_VALUES // (workers * space.N))
-    results = [None] * workers
-    stop = threading.Event()
 
-    def advance(part, lo, hi):
-        results[part] = _chunk_values(space, centers[lo:hi], tables, t_max, block, stop)
+    def advance(part, lo, hi, sync):
+        return _chunk_values(space, centers[lo:hi], tables, t_max, block, sync)
 
-    run_parts(advance, n_states, workers, stop.set)
     acc = np.zeros(t_max + 1)
-    for values in results:
+    for values in run_parts(advance, n_states, workers):
         for row in values:
             acc += row
     return Curve(acc / n_states)

@@ -38,12 +38,18 @@ class SpaceDescriptor:
     hbar: float
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """The one test of every count the package takes: ValueError naming the
+    argument unless value is an int or numpy integer, not a bool, >= low."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def make_space(N: int) -> SpaceDescriptor:
     """Build the space descriptor for Hilbert dimension N >= 1."""
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise ValueError(f"dimension N must be an integer, got {N!r}")
-    if N < 1:
-        raise ValueError(f"dimension N must be >= 1, got {N}")
+    _check_integer("dimension N", N, 1)
     if N > 2**26:
         raise ValueError(f"dimension N={N} is beyond supported range (max 2^26)")
     return SpaceDescriptor(N=int(N), hbar=1.0 / (2.0 * np.pi * N))

@@ -8,6 +8,8 @@ order, or in parallel, without changing the numbers).
 
 import numpy as np
 
+from .hilbert import _check_integer
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream identified by (seed, *path).
@@ -15,7 +17,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same (seed, path) always yields the same stream; distinct paths give
     statistically independent streams.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    _check_integer("seed", seed, 0)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))

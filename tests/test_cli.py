@@ -253,6 +253,22 @@ class TestRun:
         with pytest.raises(ResourceRefusal):
             workers(16, 13 - below)
 
+    @pytest.mark.parametrize("N, workers, vectors", [
+        (2**20, 1, 9.9), (2**20, 2, 16.4), (2**20 + 2, 1, 14.9), (2**20 + 2, 2, 28.4),
+        (2**20 - 3, 1, 22.6), (2**20 - 3, 2, 44.2), (2**19 - 1, 1, 22.8), (2**19 - 1, 2, 45.3)])
+    def test_echo_charge_covers_measured_peaks(self, monkeypatch, N, workers, vectors):
+        # peak RSS above import of an le-sweep with n_states = w, in complex
+        # N-vectors (docs/DECISIONS.md, "Echo modes"): a cap of exactly that
+        # peak does not admit w threads.  2^20 + 2 and the primes 2^20 - 3
+        # and 2^19 - 1 run the step's DFT by Bluestein's method
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: 64)
+        config = RunConfig(mode="le-sweep", N=N, n_states=workers,
+                           memory_cap_gib=16 * N * vectors / 2**30)
+        try:
+            assert _check_memory(config) < workers
+        except ResourceRefusal:
+            pass
+
     def test_lorentz_temporaries_charged(self):
         # float (2x + 1, N//2 + 1) arrays, 6.0 GiB each at x = 10^6, N = 800
         with pytest.raises(ResourceRefusal):

@@ -217,6 +217,25 @@ class TestLorentzThreads:
             lorentz_kernel(make_space(64), 0.3, image_cutoff=20)
         assert threading.active_count() == alive
 
+    def test_fault_in_the_worker_stops_the_caller_at_its_next_node(self, monkeypatch):
+        # the calling thread's part waits for the other part's fault, then
+        # fills none of its nodes: each node checks the aborted barrier first
+        def waiting(dist_sq, t_nodes, bands, theta, nodes, sync):
+            if nodes.start > 0:
+                raise RuntimeError("nodes failed")
+            with pytest.raises(threading.BrokenBarrierError):
+                sync.wait(10)
+            theta[nodes] = -1.0
+            theta_rows(dist_sq, t_nodes, bands, theta, nodes, sync)
+            untouched.append(bool(np.all(theta[nodes] == -1.0)))
+
+        untouched, theta_rows = [], decoherence._theta_rows
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(decoherence, "_theta_rows", waiting)
+        with pytest.raises(RuntimeError, match="nodes failed"):
+            lorentz_kernel(make_space(64), 0.3, image_cutoff=20)
+        assert untouched == [True]
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_product_equal_over_any_row_ranges(self, monkeypatch, workers):
         # an entry adds its node terms in order, the same bits in any block and range

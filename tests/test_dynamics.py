@@ -241,7 +241,8 @@ def test_determinism_bitwise(rng):
 
 class TestThreadRule:
     """thread_count and run_parts, the one thread rule of the echo ensemble's
-    chunks of states and of the purity step's ranges of rows."""
+    chunks of states, the purity step's ranges of rows and the Lorentz
+    kernel's ranges of nodes and of product rows."""
 
     @pytest.mark.parametrize("cpus, parts, workers, count", [
         (1, 9, None, 1), (2, 9, None, 2), (3, 9, None, 2), (64, 9, None, 2), (64, 1, None, 1),
@@ -261,13 +262,15 @@ class TestThreadRule:
                                             (9, 9)])
     def test_ranges_split_range_n(self, n, workers):
         # every index of range(n) in exactly one range, the ranges ascending
-        # by part, each [n*i//w, n*(i+1)//w), part 0 on the calling thread
-        def body(i, lo, hi):
+        # by part, each [n*i//w, n*(i+1)//w), part 0 on the calling thread;
+        # the parts' results come back in part order
+        def body(i, lo, hi, sync):
             with lock:
                 seen[i] = (lo, hi, threading.current_thread())
+            return i
 
         seen, lock = {}, threading.Lock()
-        run_parts(body, n, workers, lambda: None)
+        assert run_parts(body, n, workers) == list(range(workers))
         assert sorted(seen) == list(range(workers))
         ranges = [seen[i][:2] for i in range(workers)]
         assert ranges == [(n * i // workers, n * (i + 1) // workers) for i in range(workers)]
@@ -276,18 +279,38 @@ class TestThreadRule:
         assert seen[0][2] is threading.current_thread()
         assert len({thread for _, _, thread in seen.values()}) == workers
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_costs_split_as_prefix_search(self, workers, seed):
+        # per-item costs: part i takes the items whose cost prefix starts in
+        # [total*i//w, total*(i+1)//w), the searchsorted split that the
+        # Lorentz nodes (band rows) and product rows (triangle area) used
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(1, 60, size=rng.integers(workers, 40))
+        first, total = np.cumsum(costs) - costs, int(costs.sum())
+        expected = [tuple(np.searchsorted(first, (total * i // workers,
+                                                  total * (i + 1) // workers)).tolist())
+                    for i in range(workers)]
+        assert run_parts(lambda i, lo, hi, sync: (lo, hi), costs, workers) == expected
+
 
 def test_only_dynamics_starts_threads():
     # every runtime thread comes from run_parts: no other module of the
-    # package constructs a threading.Thread
+    # package constructs a threading.Thread or imports threading
     package = Path(dynamics.__file__).parent
-    constructing = []
+    constructing, importing = [], []
     for path in sorted(package.glob("*.py")):
-        calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Call)]
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        calls = [node.func for node in nodes if isinstance(node, ast.Call)]
         if any(getattr(func, "attr", getattr(func, "id", None)) == "Thread" for func in calls):
             constructing.append(path.name)
+        modules = [alias.name for node in nodes if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+        if "threading" in modules:
+            importing.append(path.name)
     assert constructing == ["dynamics.py"]
+    assert importing == ["dynamics.py"]
 
 
 class TestRunParts:
@@ -295,11 +318,11 @@ class TestRunParts:
     step's row ranges."""
 
     def test_part_zero_runs_on_the_calling_thread(self):
-        def body(i, lo, hi):
+        def body(i, lo, hi, sync):
             seen[i] = threading.current_thread()
 
         seen = {}
-        run_parts(body, 3, 3, lambda: None)
+        run_parts(body, 3, 3)
         assert seen[0] is threading.current_thread() and len(set(seen.values())) == 3
 
     def test_one_part_starts_no_thread(self, monkeypatch):
@@ -308,24 +331,26 @@ class TestRunParts:
 
         ran = []
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        run_parts(lambda *part: ran.append(part), 4, 1, lambda: None)
+        run_parts(lambda *part: ran.append(part[:3]), 4, 1)
         assert ran == [(0, 0, 4)]
 
     @pytest.mark.parametrize("failing, fault", [(0, RuntimeError), (1, RuntimeError),
                                                 (2, RuntimeError), (0, KeyboardInterrupt)])
     def test_fault_stops_the_others_and_reaches_the_caller(self, failing, fault):
-        # the other parts run until on_fault is called; the fault is raised
-        # once every thread has ended
-        def body(i, lo, hi):
+        # the other parts wait at the barrier until the fault aborts it; the
+        # fault, not their BrokenBarrierError, is raised once every thread
+        # has ended
+        def body(i, lo, hi, sync):
             if i == failing:
                 raise fault(f"part {i} failed")
-            assert stop.wait(10)
+            with pytest.raises(threading.BrokenBarrierError):
+                sync.wait(10)
             ended.append(i)
 
-        stop, ended = threading.Event(), []
+        ended = []
         alive = threading.active_count()
         with pytest.raises(fault, match=f"part {failing} failed"):
-            run_parts(body, 3, 3, stop.set)
+            run_parts(body, 3, 3)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
         assert threading.active_count() == alive
 
@@ -336,12 +361,22 @@ class TestRunParts:
             started.append(thread)
             start(thread)
 
-        def body(i, lo, hi):
+        def body(i, lo, hi, sync):
             ran.append(i)
-            assert stop.wait(10)
+            sync.wait(10)
 
-        started, ran, stop, start = [], [], threading.Event(), threading.Thread.start
+        started, ran, start = [], [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", start_once)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            run_parts(body, 3, 3, stop.set)
+            run_parts(body, 3, 3)
         assert len(started) == 1 and not started[0].is_alive() and ran == [1]
+
+    def test_broken_barrier_without_a_fault_is_raised(self):
+        # a part whose wait times out breaks the barrier with no other fault:
+        # run_parts raises that BrokenBarrierError, it returns no results
+        def body(i, lo, hi, sync):
+            if i == 1:
+                sync.wait(0.01)
+
+        with pytest.raises(threading.BrokenBarrierError):
+            run_parts(body, 2, 2)

@@ -146,14 +146,6 @@ class TestBlockKernel:
     """The blocked in-place step: bitwise the same step one state at a time,
     and within rounding of the one-state, two-application oracle."""
 
-    @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
-    @pytest.mark.parametrize("N", [64, 256, 4096, 1000])
-    def test_averaged_le_equals_oracle_bitwise(self, N, n_states):
-        # 8 states per block at N = 4096, 2^15 // 1000 = 32 at N = 1000
-        space, params = make_space(N), MapParams(2, 2, 0.0002)
-        got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3)
-        assert_one_state_step_and_oracle(got, space, params, 1.3, 10, n_states, 3)
-
     @pytest.mark.parametrize("N", [64, 1000])
     def test_le_curve_equals_oracle_bitwise(self, N):
         # bitwise the first row of a two-state block; within rounding of the oracle
@@ -178,14 +170,16 @@ class TestBlockKernel:
 
 
 class TestThreads:
-    """averaged_le with its thread count named, whatever the host: every
-    split of the ensemble into chunks gives the bits of the step run one
-    state at a time, within rounding of the serial oracle."""
+    """averaged_le with its thread count named, whatever the host, or the
+    host's default (None): every split of the ensemble into chunks gives the
+    bits of the step run one state at a time, within rounding of the serial
+    oracle."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
     @pytest.mark.parametrize("n_states", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("N", [64, 256, 4096, 1000])
     def test_averaged_le_equals_oracle_bitwise(self, N, n_states, workers):
+        # 8 states per block at N = 4096 on one thread, 2^15 // 1000 = 32 at N = 1000
         space, params = make_space(N), MapParams(2, 2, 0.0002)
         got = averaged_le(space, params, 1.3, 10, n_states=n_states, seed=3, workers=workers)
         assert_one_state_step_and_oracle(got, space, params, 1.3, 10, n_states, 3)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from torus_echo import dynamics
+from torus_echo.analysis import fit_decay_rate
+from torus_echo.decoherence import build_kernel, gaussian_kernel, lorentz_kernel, purity_curve
+from torus_echo.dynamics import MapParams, build_propagator
+from torus_echo.echo import averaged_le, le_curve
 from torus_echo.hilbert import (
     chord_to_rho,
     coherent_state,
@@ -8,6 +13,7 @@ from torus_echo.hilbert import (
     purity,
     rho_to_chord,
 )
+from torus_echo.rng import substream
 from torus_echo.selftest import (coherent_state_all_images, random_density, translate,
                                   translation_matrix)
 
@@ -38,6 +44,43 @@ class TestMakeSpace:
             make_space(-4)
         with pytest.raises(ValueError):
             make_space(2**40)
+
+
+_SPACE = make_space(32)
+_PROP = build_propagator(_SPACE, MapParams(2, 2, 0.01))
+_PSI = coherent_state(_SPACE, 0.3, 0.6)
+_DECAY = np.exp(-0.5 * np.arange(12))
+
+
+def _echo(**changed):
+    kwargs = dict(sigma_over_hbar=1.0, t_max=4, n_states=2, seed=1) | changed
+    return averaged_le(_SPACE, MapParams(2, 2, 0.01), **kwargs)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: purity_curve(_PSI, _PROP, build_kernel(_SPACE, "gdm", 0.1), 3.0), "t_max"),
+    (lambda: purity_curve(_PSI, _PROP, build_kernel(_SPACE, "gdm", 0.1), True), "t_max"),
+    (lambda: _echo(t_max=4.0), "t_max"),
+    (lambda: _echo(n_states=2.0), "n_states"),
+    (lambda: le_curve(_PSI, _SPACE, MapParams(2, 2, 0.01), 1.0, np.float64(4)), "t_max"),
+    (lambda: dynamics.thread_count(4, 1.5), "workers"),
+    (lambda: lorentz_kernel(_SPACE, 0.1, 10.5), "image_cutoff"),
+    (lambda: fit_decay_rate(_DECAY, 1e-3, transient_skip=1.5), "transient_skip"),
+    (lambda: substream(1.5), "seed"),
+    (lambda: gaussian_kernel(_SPACE, np.inf), "epsilon"),
+    (lambda: gaussian_kernel(_SPACE, np.nan), "epsilon"),
+    (lambda: lorentz_kernel(_SPACE, np.inf), "epsilon"),
+    (lambda: lorentz_kernel(_SPACE, np.nan), "epsilon"),
+    (lambda: _echo(sigma_over_hbar=np.nan), "sigma_over_hbar"),
+], ids=["purity t_max float", "purity t_max bool", "echo t_max float", "echo n_states float",
+        "le_curve t_max np.float64", "workers float", "image_cutoff float",
+        "transient_skip float", "seed float", "gaussian inf", "gaussian nan", "lorentz inf",
+        "lorentz nan", "sigma nan"])
+def test_counts_must_be_integers_and_widths_finite(call, name):
+    # every count is an int or a numpy integer, not a bool or a float, and
+    # every width finite; a bad value raises ValueError naming its argument
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 class TestCoherentState:
