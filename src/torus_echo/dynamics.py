@@ -98,21 +98,22 @@ def thread_count(parts: int, workers: Optional[int] = None) -> int:
 
 def run_parts(body, work, workers: int) -> list:
     """Runs body(part, lo, hi, sync) for the workers parts of work at once,
-    part 0 on the calling thread and each other one on a plain thread of its
-    own, and returns the parts' results in part order.  work is a count n,
-    split into the ranges [n*i//workers, n*(i+1)//workers), or per-item
-    costs, split into the contiguous ranges of the items whose cost prefix
-    starts in [total*i//workers, total*(i+1)//workers).  sync is one
-    threading.Barrier(workers), aborted by a fault or interrupt in any part
-    or a thread that cannot start, so that the other parts stop at their
-    next sync.wait() or check of sync.broken.  Once every thread has ended,
-    the lowest part's fault is re-raised, a BrokenBarrierError only if no
-    part raised anything else."""
-    costs = np.ones(work, dtype=np.int64) if np.ndim(work) == 0 else np.asarray(work)
-    cuts = costs.sum() * np.arange(1, workers) // workers
-    bounds = [0, *np.searchsorted(np.cumsum(costs) - costs, cuts).tolist(), costs.size]
+    part 0 on the calling thread and the others on plain threads, and returns
+    their results in part order.  work is a count n, split into the ranges
+    [n*i//workers, n*(i+1)//workers), or per-item costs, split into the
+    contiguous ranges of the items whose cost prefix starts in
+    [total*i//workers, total*(i+1)//workers).  sync is one
+    threading.Barrier(workers), aborted by any part's fault or interrupt or a
+    failed thread start, so the other parts stop at their next sync.wait() or
+    check of sync.broken.  Once every thread has ended, the lowest part's own
+    fault is re-raised, a BrokenBarrierError only if no part raised another."""
+    if np.ndim(work) == 0:
+        bounds = [work * i // workers for i in range(workers + 1)]
+    else:
+        cuts = np.sum(work) * np.arange(1, workers) // workers
+        bounds = [0, *np.searchsorted(np.cumsum(work) - work, cuts).tolist(), len(work)]
     sync = threading.Barrier(workers)
-    results, faults = [None] * workers, []
+    results, faults, threads = [None] * workers, [], []
 
     def part(i):
         try:
@@ -121,7 +122,6 @@ def run_parts(body, work, workers: int) -> list:
             faults.append((isinstance(err, threading.BrokenBarrierError), i, err))
             sync.abort()
 
-    threads = []
     try:
         for i in range(1, workers):
             thread = threading.Thread(target=part, args=(i,))

@@ -251,10 +251,12 @@ class TestThreads:
     def test_interrupt_stops_the_other_chunks(self, monkeypatch):
         # the calling thread's chunk is interrupted while the second chunk's
         # thread is inside its first of four one-state blocks: that thread
-        # ends after the block, and the interrupt reaches the caller
-        def recording(space, centers, tables, t_max, block, stop):
-            stops.append(stop)
-            return chunk_values(space, centers, tables, t_max, block, stop)
+        # sees the aborted barrier, still finishes the block, and then runs
+        # none of the other three, stopped by the check before each block;
+        # the interrupt reaches the caller
+        def recording(space, centers, tables, t_max, block, sync):
+            syncs.append(sync)
+            return chunk_values(space, centers, tables, t_max, block, sync)
 
         def interrupted(phi, tables, t_max):
             if threading.current_thread() is threading.main_thread():
@@ -262,10 +264,11 @@ class TestThreads:
                 raise KeyboardInterrupt
             blocks.append(len(phi[0]))
             entered.set()
-            assert stops[0].wait(10)
+            with pytest.raises(threading.BrokenBarrierError):
+                syncs[0].wait(10)
             return echo_values(phi, tables, t_max)
 
-        stops, blocks, entered = [], [], threading.Event()
+        syncs, blocks, entered = [], [], threading.Event()
         chunk_values, echo_values = echo._chunk_values, echo._echo_values
         monkeypatch.setattr(echo, "_chunk_values", recording)
         monkeypatch.setattr(echo, "_echo_values", interrupted)
