@@ -30,9 +30,9 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
 
 
 # States per block of averaged_le: the blocks' (2, m, N) buffers hold 2^16
-# complex values (1 MiB) together, shared out over the chunks' threads, so 8
-# states at N = 4096 on one CPU, 4 per thread on two, and one state per thread
-# from N = 2^15 up.
+# complex values (1 MiB) over the chunks' threads, and the one weights table of
+# their shape 1/w of it: 8 states at N = 4096 on one CPU, 4 per thread on two,
+# and one state per thread, with a (2, 1, N) table, from N = 2^15 up.
 _BLOCK_VALUES = 2**15
 
 
@@ -62,13 +62,13 @@ def _kinetic_cosets(N: int, b: int):
     with gamma = b'^-1 mod M and eps = b' M mod 2.  So h(u - v) =
     h(u) h(-v) / h(0) exp(-2 pi i gamma u v / M), and on each class rho
 
-        (C f)(g u + rho + r0) = h(u)/h(0) fft_M[sqrt(M) h(-v) f(g v + rho)](gamma u mod M),
+        (C f)(g u + rho + r0) = h(u)/h(0) fft_M[h(-v) f(g v + rho)](gamma u mod M),
 
-    fft_M the orthonormal DFT over v.  Returns g, r0, gamma, the chirp
-    h(e)/h(0) for e = 0..M-1, its angles reduced mod 2 pi in integers as in
+    fft_M the unscaled DFT over v.  Returns g, r0, gamma, the chirp h(e)/h(0)
+    for e = 0..M-1, its angles reduced mod 2 pi in integers as in
     dynamics._reduced_quadratic_angle (each product stays below 4 M^2 <= 2^54
-    for N <= 2^26, so int64 cannot wrap), and sqrt(M) h(0), a unit-modulus
-    sum.
+    for N <= 2^26, so int64 cannot wrap), and h(0), the mean of M unit
+    phases.
     """
     g = math.gcd(b, N)
     M, b1 = N // g, b // g
@@ -80,7 +80,7 @@ def _kinetic_cosets(N: int, b: int):
     chirp = np.exp(-1j * np.pi * angle / M)
     angle = ((b1 % mod) * (e * e % mod) - eps * e) % mod
     h0 = np.mean(np.exp(-1j * np.pi * angle / M))
-    return g, g // 2 * eps, gamma, chirp, np.sqrt(M) * h0
+    return g, g // 2 * eps, gamma, chirp, h0
 
 
 def _step_tables(kick: np.ndarray, b: int):
@@ -89,10 +89,9 @@ def _step_tables(kick: np.ndarray, b: int):
     The step holds each state in class layout, S[rho, v] = psi(g v + rho)
     (_kinetic_cosets), and stores the DFT's output Y before the out-chirp
     and the output permutation: psi's layout is out_chirp * Y[..., perm].
-    One step is then Y <- fft_M(weights * Y[..., perm]).  Returns
+    One step is then Y <- fft_M(weights * Y[..., perm]), unscaled.  Returns
       - weights, (2, 1, N): each row's kick in class layout, times the
-        in-chirp sqrt(M) h(-v), times the out-chirp h(u)/h(0) permuted into
-        place;
+        in-chirp h(-v), times the out-chirp h(u)/h(0) permuted into place;
       - entry, (g, M): the conjugate out-chirp in class layout, which maps an
         initial state's layout to the stored Y once perm is undone;
       - perm, (N,) or None: the flat index into Y of each layout position,
@@ -100,14 +99,14 @@ def _step_tables(kick: np.ndarray, b: int):
         N = 0 mod 4, b = 4 at N = 0 mod 8).
     """
     N = kick.shape[-1]
-    g, r0, gamma, chirp, scale = _kinetic_cosets(N, b)
+    g, r0, gamma, chirp, h0 = _kinetic_cosets(N, b)
     M = N // g
     rho, v = np.arange(g)[:, None], np.arange(M)
     u = (v - (rho < r0)) % M  # g u + (rho - r0) % g + r0 = g v + rho (mod N)
     perm = (((rho - r0) % g) * M + gamma * u % M).reshape(N)
     out_chirp = chirp[u]
     layout_kick = kick.reshape(2, M, g).transpose(0, 2, 1)
-    weights = layout_kick * (scale * chirp[-v % M])
+    weights = layout_kick * (h0 * chirp[-v % M])
     weights *= out_chirp
     if np.array_equal(perm, np.arange(N)):
         perm = None
@@ -127,7 +126,8 @@ def _stacked_phases(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: 
 def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
     """M(t) for t = 0..t_max of each state of a block, as an (m, t_max + 1)
     array.  phi is a (2, m, N) buffer whose row 0 holds the block's initial
-    states on entry; it is overwritten.  tables are _stacked_phases'.
+    states on entry; it is overwritten.  tables are _stacked_phases', whose
+    weights are (2, 1, N) or have at least m rows, of which m are used.
 
     Both branches of every state advance together in place, k in row 0 and
     k' in row 1: per step, the output permutation (a take into a scratch
@@ -154,8 +154,8 @@ def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
     for t in range(1, t_max + 1):
         if perm is not None:
             np.take(phi, perm, axis=-1, out=source, mode="clip")
-        np.multiply(weights, source, out=phi)
-        np.fft.fft(layout, norm="ortho", out=layout)
+        np.multiply(weights[:, :m], source, out=phi)
+        np.fft.fft(layout, out=layout)
         for i in range(m):
             values[i, t] = abs(np.vdot(phi[1, i], phi[0, i])) ** 2
     return values
@@ -207,8 +207,8 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
 
     The propagator pair is built once for all states.  The states split into
     w = dynamics.thread_count(n_states, workers) contiguous chunks, advanced
-    in parallel by dynamics.run_parts, in blocks of
-    max(1, _BLOCK_VALUES // (w * N)).  The CLI lowers workers to fit its
+    in parallel by dynamics.run_parts, in blocks of max(1, min(_BLOCK_VALUES
+    // (w * N), largest chunk)) states.  The CLI lowers workers to fit its
     memory cap.  An exception raised in any chunk stops the others at
     their next block and is re-raised here once every thread has ended.
     """
@@ -216,7 +216,10 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     workers = thread_count(n_states, workers)
     tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
     centers = ensemble_centers(seed, n_states)
-    block = max(1, _BLOCK_VALUES // (workers * space.N))
+    block = max(1, min(_BLOCK_VALUES // (workers * space.N), -(-n_states // workers)))
+    if block > 1:  # one table of the block's shape for all chunks: the step's
+        # multiply then takes numpy's contiguous loop, not a broadcast one
+        tables = (np.repeat(tables[0], block, axis=1),) + tables[1:]
 
     def advance(part, lo, hi, sync):
         return _chunk_values(space, centers[lo:hi], tables, t_max, block, sync)

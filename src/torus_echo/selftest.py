@@ -429,10 +429,10 @@ def check_echo_kinetic(seed=14):
             K = build_propagator(make_space(N), MapParams(2, b)).kinetic_phases
             direct = np.fft.ifft(K * np.fft.fft(f, norm="ortho"), norm="ortho")
             err = np.max(np.abs(kinetic_half_factorized(f, b) - direct)) / np.max(np.abs(direct))
-            g, r0, _, chirp, scale = _kinetic_cosets(N, b)
+            g, r0, _, chirp, h0 = _kinetic_cosets(N, b)
             c, coset = np.fft.ifft(K), (r0 + g * np.arange(N // g)) % N
             closed = np.zeros(N, dtype=complex)
-            closed[coset] = scale / np.sqrt(N // g) * chirp
+            closed[coset] = h0 * chirp
             worst = max(worst, err / 1e-14, float(np.max(np.abs(c - closed))) / 1e-15)
     return worst, 1.0
 
@@ -443,7 +443,7 @@ def check_coherent_images(seed=13):
     signed zero counts too."""
     rng = np.random.default_rng(seed)
     mismatches = 0
-    for N in (64, 800, 4096, 2**14):
+    for N in (64, 800, 801, 4096, 2**14, 2**16):
         space = make_space(N)
         for q0, p0 in rng.random((16, 2)):
             got, expected = coherent_state(space, q0, p0), coherent_state_all_images(space, q0, p0)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,40 @@ class TestThreads:
             averaged_le(make_space(64), MapParams(2, 2, 0.0002), 1.0, 5, n_states=6, seed=1,
                         workers=3)
         assert len(started) == 1 and not started[0].is_alive()
+
+
+class TestMemory:
+    """The tracemalloc peak of one averaged_le call (numpy traces its arrays'
+    data), after a first call has planned the FFTs."""
+
+    @staticmethod
+    def peak_bytes(N, n_states, workers):
+        space, params = make_space(N), MapParams(2, 2, 0.0002)
+        averaged_le(space, params, 1.3, 3, n_states, seed=1, workers=workers)
+        tracemalloc.start()
+        try:
+            averaged_le(space, params, 1.3, 3, n_states, seed=1, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("N", [2**15, 2**16])
+    def test_one_state_blocks_within_the_cli_charge(self, N, workers):
+        # one state per block, so one (2, 1, N) weights table: within
+        # cli._check_memory's 4 + 9w complex vectors
+        assert self.peak_bytes(N, workers, workers) <= 16 * N * (4 + 9 * workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_shared_table_of_the_block_shape(self, workers):
+        # the w (2, m, N) block buffers, one (2, m, N) weights table shared by
+        # the chunks, and 0.375 MiB per thread for the rest (a coherent
+        # state's temporaries, the entry chirp, the values); a table copied
+        # per thread or per block would add m / 4 MiB at least, m = 8 / w
+        N = 4096
+        block = 2**15 // (workers * N)
+        budget = 16 * 2 * block * N * (workers + 1) + workers * 0.375 * 2**20
+        assert self.peak_bytes(N, 16, workers) <= budget
 
 
 def test_default_t_max_reaches_saturation():

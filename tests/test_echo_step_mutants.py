@@ -23,6 +23,8 @@ MUTANTS = {
         "_step_tables", "weights *= out_chirp", "pass"),
     "permutation skipped": ("_echo_values", 'np.take(phi, perm, axis=-1, out=source, mode="clip")',
                             "source[...] = phi"),
+    "DFT left orthonormal": ("_echo_values", "np.fft.fft(layout, out=layout)",
+                             'np.fft.fft(layout, norm="ortho", out=layout)'),
 }
 
 

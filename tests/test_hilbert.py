@@ -119,7 +119,7 @@ class TestCoherentState:
             var = float(np.sum(prob * x * x))
             assert var == pytest.approx(space.hbar / 2.0, rel=0.2)
 
-    @pytest.mark.parametrize("N", [16, 64, 800, 4096, 2**14])
+    @pytest.mark.parametrize("N", [1, 16, 64, 800, 801, 4096, 2**14, 2**16])
     def test_live_images_equal_all_images_bitwise(self, N):
         # 64 random centres and the edges of the square, compared as bits so
         # that a signed zero counts too
