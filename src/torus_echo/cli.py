@@ -43,7 +43,7 @@ from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS
                        _prediction_for, sweep_echo, sweep_purity)
 from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
 from .dynamics import MapParams, lyapunov_closed_form, thread_count, usable_cpus
-from .echo import default_echo_t_max
+from .echo import _BLOCK_VALUES, default_echo_t_max
 from .hilbert import make_space
 
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
@@ -208,20 +208,20 @@ def _check_memory(config: RunConfig) -> int:
             # (BENCH_lorentz-fold.json)
             working_set += (1 + workers) * 8 * (2 * config.image_cutoff + 1) * (N // 2 + 1)
     elif config.mode in ECHO_MODES:
-        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json), and
-        # 16 M/N more per thread where the step's DFT length M = N/gcd(b, N)
-        # has a prime factor above sqrt(M), which numpy's FFT may take by
-        # Bluestein's method (docs/DECISIONS.md, "Echo modes"); a thread
-        # fewer costs speed, not bits, so w drops to fit the cap first
+        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json); 16 M/N
+        # more per thread where the DFT length M = N/gcd(b, N) has a prime factor
+        # above sqrt(M), for numpy's Bluestein FFT; 4 MiB for the blocks' buffers,
+        # their table, FFT plans and thread arenas (docs/DECISIONS.md, "Echo
+        # modes").  A thread fewer costs speed, not bits, so w drops to fit first
         rest = M = N // math.gcd(config.b, N)
         for p in range(2, math.isqrt(M) + 1):
             while rest % p == 0:
                 rest //= p
         per_thread = 9 + (16 * M / N if rest > 1 else 0)
         workers = thread_count(config.n_states)
-        while workers > 1 and 16 * N * (4 + per_thread * workers) > cap:
+        while workers > 1 and 16 * (N * (4 + per_thread * workers) + 8 * _BLOCK_VALUES) > cap:
             workers -= 1
-        working_set = 16 * N * (4 + per_thread * workers)
+        working_set = 16 * (N * (4 + per_thread * workers) + 8 * _BLOCK_VALUES)
     if working_set > cap:
         raise ResourceRefusal(
             f"estimated working set {working_set / 2**30:.1f} GiB exceeds cap "
@@ -327,9 +327,12 @@ def run(config: RunConfig) -> int:
             names = ["sweep.csv"] * len(rows)
         for row, name in zip(rows, names):
             failed = row.error is not None and config.mode.endswith("-sweep")
+            fit = {key: getattr(row.fit, key, None)
+                   for key in ("window", "n_points", "stderr", "floor_estimate")}
             row_status.append({"control": row.control,
                                "status": f"error: {row.error}" if failed else "ok",
-                               "output": name, **_prediction_flag(config, row.prediction)})
+                               "output": name, **_prediction_flag(config, row.prediction),
+                               **{k: None if v != v else v for k, v in fit.items()}})  # NaN: null
     except BaseException as err:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise

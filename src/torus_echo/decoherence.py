@@ -74,6 +74,7 @@ and Lorentz sums run over offsets 0..N//2 and are mirrored, which keeps
 c(q,p) = c(-q,-p) exact, bitwise, under truncation.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -84,6 +85,10 @@ from .hilbert import (_EXP_UNDERFLOW, SpaceDescriptor, _check_integer, _cyclic_d
 
 MODELS = ("gdm", "dc", "ldm", "mixture")  # the model tags build_kernel accepts
 LORENTZ_DEFAULT_IMAGE_CUTOFF = 100
+# lorentz_kernel's small-t tail, t * max(dist_sq) <= _TAIL_BOUND, as _MOMENTS moment rows:
+# exp(-t d) is its Taylor sum there to within _TAIL_BOUND^_MOMENTS / _MOMENTS! ~ 7e-18
+_TAIL_BOUND = 2.0 ** -10
+_MOMENTS = 5
 # Rows per block of the Lorentz product and of the step tables: a block's
 # temporaries stay in cache.  At N=800, 16 to 64 rows time the same, and the
 # step tables over whole ranges take twice as long.
@@ -128,56 +133,65 @@ def depolarizing_kernel(space: SpaceDescriptor, epsilon: float) -> np.ndarray:
     return _finalize(raw)
 
 
-def _lorentz_quadrature(s: float, lam_max: float):
-    """Log-spaced trapezoid nodes for 1/lam = int_0^inf exp(-t*lam) dt.
+def _lorentz_quadrature(s: float, d_max: float):
+    """Log-spaced trapezoid nodes t and weights w for s/lam = int_0^inf s exp(-t*lam) dt.
 
     The integrand in y = ln(t) is a smooth bump per lam value; trapezoid
     error decays like exp(-pi^2/h).  Range covers lam in [s^2, lam_max] with
     relative tails below 1e-15.
     """
+    lam_max = s * s + 2.0 * d_max
     y_lo = np.log(1e-16 / lam_max)
     y_hi = np.log(40.0 / (s * s))
     h = 0.2
     n = int(np.ceil((y_hi - y_lo) / h)) + 1
-    y = y_lo + h * np.arange(n)
-    t = np.exp(y)
-    w = h * t  # dt = t dy
-    return t, w
+    t = np.exp(y_lo + h * np.arange(n))
+    return t, h * t * s * np.exp(-t * s * s)  # dt = t dy
+
+
+def _small_t_tail(t: np.ndarray, w: np.ndarray, d_max: float):
+    """The nodes and weights past the small-t tail, and A[p, q] = sum_tail w_i t_i^(p + q)."""
+    tail = np.count_nonzero(t * d_max <= _TAIL_BOUND)  # a prefix: t ascends
+    powers = t[:tail] ** np.arange(_MOMENTS)[:, None]
+    return t[tail:], w[tail:], np.einsum("pi,qi,i->pq", powers, powers, w[:tail])
 
 
 def _theta_rows(dist_sq: np.ndarray, t_nodes: np.ndarray, bands: np.ndarray,
-                theta: np.ndarray, nodes: range, sync) -> None:
+                theta: np.ndarray, items: range, sync) -> None:
     """theta[i] = sum over the image rows bands[i] = (lo, hi) of
-    exp(-t_nodes[i] * dist_sq[row]) for the nodes i in nodes, through one
-    reused band buffer; returns early once the barrier sync of
-    dynamics.run_parts is broken, which is checked before each node."""
+    exp(-t_nodes[i] * dist_sq[row]) for the nodes i in items, and of
+    ((-1)^p / p!) dist_sq[row]^p for the moment rows i = t_nodes.size + p,
+    through one reused band buffer; returns early once the barrier sync of
+    dynamics.run_parts is broken, which is checked before each item."""
     buf = np.empty_like(dist_sq)
     with np.errstate(under="ignore"):
-        for i in nodes:
+        for i in items:
             if sync.broken:
                 return
             lo, hi = bands[i]
             band = buf[:hi - lo]
-            np.multiply(dist_sq[lo:hi], -t_nodes[i], out=band)
-            np.exp(band, out=band)
+            if (p := i - t_nodes.size) < 0:
+                np.multiply(dist_sq[lo:hi], -t_nodes[i], out=band)
+                np.exp(band, out=band)
+            else:  # the moment row p
+                np.multiply(np.power(dist_sq, p, out=band), (-1) ** p / math.factorial(p), out=band)
             band.sum(axis=0, out=theta[i])                # truncated 1D theta
 
 
-def _lorentz_product(theta: np.ndarray, w: np.ndarray, N: int, workers: int) -> np.ndarray:
-    """raw[j, k] = sum_i w_i theta[i, f(j)] theta[i, f(k)], f(j) = min(j, N - j),
-    from the (n_nodes, N//2 + 1) folded theta sums.
+def _lorentz_product(theta: np.ndarray, weighted: np.ndarray, N: int, workers: int) -> np.ndarray:
+    """raw[j, k] = sum_i theta[i, f(j)] weighted[i, f(k)], f(j) = min(j, N - j),
+    from the (rows, N//2 + 1) folded theta sums and their weighted rows.
 
     Only the upper triangle b >= a of the (H, H) quadrant q[a, b] is
     computed, in blocks of _BLOCK_ROWS rows, each one einsum over the
     columns from the block's first row on.  The rows split into workers
     ranges of about equal triangle area, run in parallel
     (dynamics.run_parts).  einsum runs its own loop, not BLAS, and adds an
-    entry's terms in node order whatever its block, so an entry is the same
+    entry's terms in row order whatever its block, so an entry is the same
     bits whatever its range, the thread count or BLAS's.  The lower triangle
     is the upper one mirrored, and slicing unfolds the quadrant to (N, N),
     which makes raw[k, j] = raw[j, k] = raw[-j, -k] exact."""
     H = theta.shape[1]
-    weighted = theta * w[:, None]
     raw = np.empty((N, N))
     q = raw[:H, :H]
 
@@ -198,31 +212,33 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     """Lorentz (heavy-tailed) kernel, c ~ sum_images s/(s^2 + r^2).
 
     The image sum truncated to (2x+1)^2 lattice copies, x = image_cutoff, is
-    evaluated exactly (to ~1e-12 relative) through the exponential integral
-    1/lam = int exp(-t*lam) dt, which factorizes the (j,k) double sum into
-    products of one-dimensional truncated theta sums per quadrature node t_i:
-    raw = theta^T diag(w) theta, w_i = t_weight_i * s * exp(-t_i s^2).
+    evaluated through the exponential integral 1/lam = int exp(-t*lam) dt,
+    which factorizes the (j,k) double sum into products of one-dimensional
+    truncated theta sums per quadrature node t_i: raw = theta^T diag(w) theta,
+    w_i = h t_i s exp(-t_i s^2), about 1e-14 relative from the literal sum
+    (selftest.lorentz_kernel_direct).  On the small-t tail,
+    t_i * max(dist_sq) <= _TAIL_BOUND, exp(-t d) is its Taylor sum to
+    P = _MOMENTS terms, so the tail adds sum_{p,q<P} S_p(j) A[p,q] S_q(k):
+    P moment rows S_p = ((-1)^p / p!) sum_m dist_sq[m]^p follow the other
+    nodes' rows in theta, weighted by A[p,q] = sum_tail w_i t_i^(p+q).  That
+    moved the kernel by 8.9e-16 relative at most (selftest.lorentz_kernel_all_nodes).
 
     Columns j and N - j of theta sum the same image terms, so theta is
     computed on the folded half j = 0..N//2 only, from the squared image
     distances dist_sq, a (2x+1, N//2 + 1) array, and _lorentz_product
-    unfolds raw from it.  theta is filled node by node in one reused band
-    buffer per thread (_theta_rows): all nodes at once would need an
-    (n_nodes, 2x+1, N//2 + 1) temporary.  At node t only the band of image
+    unfolds raw from it.  theta is filled row by row in one reused band
+    buffer per thread (_theta_rows).  At node t only the band of image
     rows with t * min(dist_sq[row]) < 746 is evaluated.  That band is
     contiguous, since an image row's nearest grid point gets farther on
     both sides of the m = 0 row.  Every row outside it is exp(-746) or less,
-    which is exactly 0.0 in double precision.  The axis-0 sum adds rows one
-    after another, and adding 0.0 to a positive sum changes no bit.  So the
-    kernel is bitwise the full-band sum (selftest.lorentz_kernel_full_band),
-    with a third fewer exp calls at N=800 and the default cutoff; those are
-    the underflowing ones, which take numpy's slow path.
+    which is exactly 0.0 in double precision, and adding 0.0 to a positive
+    sum changes no bit: the kernel is bitwise the full-band sum
+    (selftest.lorentz_kernel_full_band).
 
-    The nodes split into w = dynamics.thread_count(n_nodes) contiguous
-    ranges of about equal band rows, not equal node counts (bands narrow
-    from 2x + 1 rows to 1 as t grows), filled in parallel threads
-    (dynamics.run_parts).  Each node's sum is the same whatever its range,
-    so the kernel is the same bits on any number of threads.
+    The rows split into w = dynamics.thread_count(rows) contiguous ranges of
+    about equal band rows (a moment row has 2x + 1), filled in parallel
+    threads (dynamics.run_parts); each row's sum is the same whatever its
+    range, so the kernel is the same bits on any number of threads.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -231,21 +247,22 @@ def lorentz_kernel(space: SpaceDescriptor, epsilon: float,
     s = epsilon * N / (2.0 * np.pi)
     images = N * np.arange(-image_cutoff, image_cutoff + 1, dtype=float)
     dist_sq = (np.arange(N // 2 + 1.0)[None, :] - images[:, None]) ** 2  # (2x+1, H)
-    row_min = dist_sq.min(axis=1)
-    lam_max = s * s + 2.0 * dist_sq.max()
-    t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
+    row_min, d_max = dist_sq.min(axis=1), dist_sq.max()
+    t_nodes, w, moments = _small_t_tail(*_lorentz_quadrature(s, d_max), d_max)
     bands = np.array([(live[0], live[-1] + 1) for live in
-                      (np.flatnonzero(t * row_min < _EXP_UNDERFLOW) for t in t_nodes)])
-    theta = np.empty((t_nodes.size, dist_sq.shape[1]))
-    workers = thread_count(t_nodes.size)
+                      (np.flatnonzero(t * row_min < _EXP_UNDERFLOW) for t in t_nodes)]
+                     + [(0, images.size)] * _MOMENTS)  # a moment row reads every image row
+    theta = np.empty((len(bands), dist_sq.shape[1]))
+    workers = thread_count(len(bands))
 
     def fill(part, lo, hi, sync):
         _theta_rows(dist_sq, t_nodes, bands, theta, range(lo, hi), sync)
 
     run_parts(fill, bands[:, 1] - bands[:, 0], workers)
     del dist_sq  # free the (2x+1, H) array before the (N, N) product and _finalize
-    w = t_weights * s * np.exp(-t_nodes * s * s)
-    return _finalize(_lorentz_product(theta, w, N, workers))
+    weighted = np.concatenate((theta[:-_MOMENTS] * w[:, None],
+                               np.einsum("pq,qa->pa", moments, theta[-_MOMENTS:])))
+    return _finalize(_lorentz_product(theta, weighted, N, workers))
 
 
 def build_kernel(space: SpaceDescriptor, model_tag: str, epsilon: float,

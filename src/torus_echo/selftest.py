@@ -5,17 +5,18 @@ The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
 (propagator_matrix), the O(N^4) Kraus sum (apply_decoherence_direct), the
 literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
-every image row (lorentz_kernel_full_band), the coherent state summed over
-every lattice image (coherent_state_all_images), the one-state, two-FFT
-echo loop (echo_values_direct), the identity channel (identity_kernel), and
-the classical map (classical_step) with the Benettin estimate of its
-Lyapunov exponent (lyapunov_numeric).  The echo step's one-DFT kinetic half,
-read back as a state (kinetic_half_factorized), is checked against
-ifft(K * fft(f)), and its closed-form chirps against ifft(K).  At k = 0 the
-chord orbit (chord_orbit_purity) gives purity_curve's values at production
-N.  The step's two-pass kernel spectrum is checked through
-decoherence.chord_multiplier, one rfft2 call, which the double sum checks in
-turn.
+every image row (lorentz_kernel_full_band) and over every quadrature node,
+its small-t tail included (lorentz_kernel_all_nodes), the coherent state
+summed over every lattice image (coherent_state_all_images), the one-state,
+two-FFT echo loop (echo_values_direct), the identity channel
+(identity_kernel), and the classical map (classical_step) with the Benettin
+estimate of its Lyapunov exponent (lyapunov_numeric).  The echo step's
+one-DFT kinetic half, read back as a state (kinetic_half_factorized), is
+checked against ifft(K * fft(f)), and its closed-form chirps against
+ifft(K).  At k = 0 the chord orbit (chord_orbit_purity) gives purity_curve's
+values at production N.  The step's two-pass kernel spectrum is checked
+through decoherence.chord_multiplier, one rfft2 call, which the double sum
+checks in turn.
 """
 
 import numpy as np
@@ -23,11 +24,14 @@ import numpy as np
 from .analysis import fit_decay_rate
 from .decoherence import (
     LORENTZ_DEFAULT_IMAGE_CUTOFF,
+    _MOMENTS,
     _advance_diagonals,
     _diagonal_step,
     _finalize,
     _lorentz_product,
     _lorentz_quadrature,
+    _small_t_tail,
+    _theta_rows,
     apply_decoherence,
     chord_multiplier,
     depolarizing_kernel,
@@ -42,6 +46,7 @@ from .dynamics import (
     apply_to_density,
     build_propagator,
     lyapunov_closed_form,
+    run_parts,
 )
 from .echo import (_echo_values, _kinetic_cosets, _propagator_pair, _step_tables, averaged_le,
                    ensemble_centers, le_curve)
@@ -106,24 +111,50 @@ def lorentz_kernel_direct(space: SpaceDescriptor, epsilon: float,
     return _finalize(raw)
 
 
-def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
-                             image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
-    """lorentz_kernel with every image row evaluated at every node, in fresh
-    temporaries, on one thread; the oracle, bitwise, of its live-band loop.
-    It shares the folded product _lorentz_product."""
-    N = space.N
-    x = int(image_cutoff)
+def _lorentz_setup(space: SpaceDescriptor, epsilon: float, image_cutoff: int):
+    """lorentz_kernel's squared image distances and quadrature nodes and weights."""
+    N, x = space.N, int(image_cutoff)
     s = epsilon * N / (2.0 * np.pi)
     images = N * np.arange(-x, x + 1, dtype=float)
     dist_sq = (np.arange(N // 2 + 1.0)[None, :] - images[:, None]) ** 2  # (2x+1, H)
-    lam_max = s * s + 2.0 * dist_sq.max()
-    t_nodes, t_weights = _lorentz_quadrature(s, lam_max)
+    return (dist_sq,) + _lorentz_quadrature(s, dist_sq.max())
+
+
+def lorentz_kernel_full_band(space: SpaceDescriptor, epsilon: float,
+                             image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
+    """lorentz_kernel with every image row evaluated at every node past the
+    small-t tail, in fresh temporaries, on one thread; the oracle, bitwise, of
+    its live-band loop.  It shares the tail's moment rows (_theta_rows) and the
+    folded product _lorentz_product."""
+    dist_sq, t_all, w_all = _lorentz_setup(space, epsilon, image_cutoff)
+    t_nodes, w, moments = _small_t_tail(t_all, w_all, dist_sq.max())
+    n = t_nodes.size
+    theta = np.empty((n + _MOMENTS, dist_sq.shape[1]))
+    with np.errstate(under="ignore"):
+        for i, t in enumerate(t_nodes):
+            theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
+    bands = np.array([(0, dist_sq.shape[0])] * theta.shape[0])
+
+    def moment_rows(part, lo, hi, sync):
+        _theta_rows(dist_sq, t_nodes, bands, theta, range(n + lo, n + hi), sync)
+
+    run_parts(moment_rows, _MOMENTS, 1)  # one part, on this thread
+    weighted = np.concatenate((theta[:n] * w[:, None],
+                               np.einsum("pq,qa->pa", moments, theta[n:])))
+    return _finalize(_lorentz_product(theta, weighted, space.N, workers=1))
+
+
+def lorentz_kernel_all_nodes(space: SpaceDescriptor, epsilon: float,
+                             image_cutoff: int = LORENTZ_DEFAULT_IMAGE_CUTOFF) -> np.ndarray:
+    """The Lorentz kernel from every quadrature node over every image row,
+    the small-t tail included, on one thread; the oracle of lorentz_kernel's
+    moment rows, which it matches to rounding."""
+    dist_sq, t_nodes, w = _lorentz_setup(space, epsilon, image_cutoff)
     theta = np.empty((t_nodes.size, dist_sq.shape[1]))
     with np.errstate(under="ignore"):
         for i, t in enumerate(t_nodes):
             theta[i] = np.exp(-t * dist_sq).sum(axis=0)   # truncated 1D theta
-    w = t_weights * s * np.exp(-t_nodes * s * s)
-    return _finalize(_lorentz_product(theta, w, N, workers=1))
+    return _finalize(_lorentz_product(theta, theta * w[:, None], space.N, workers=1))
 
 
 def coherent_state_all_images(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
@@ -503,6 +534,15 @@ def check_lorentz_band(N=64, s=0.02):
     return float(np.max(np.abs(fast - full))), 5e-324  # the smallest double: equal bitwise or fail
 
 
+def check_lorentz_moments(N=800, eps=0.0005, image_cutoff=100):
+    """lorentz_kernel, its small-t tail summed as moment rows, against every
+    node's exp sum, at the benchmark's N and epsilon."""
+    space = make_space(N)
+    fast = lorentz_kernel(space, eps, image_cutoff)
+    exact = lorentz_kernel_all_nodes(space, eps, image_cutoff)
+    return float(np.max(np.abs(fast - exact) / exact)), 2e-15
+
+
 def check_unitality(N=8):
     space = make_space(N)
     eye = np.eye(N, dtype=complex) / N
@@ -546,6 +586,7 @@ ALL_CHECKS = [
     ("depolarizing-closed-form", check_depolarizing_closed_form),
     ("lorentz-quadrature", check_lorentz_quadrature),
     ("lorentz-band-vs-full-band", check_lorentz_band),
+    ("lorentz-moments-vs-all-nodes", check_lorentz_moments),
     ("unitality", check_unitality),
     ("identity-kernel", check_identity_kernel),
     ("lyapunov-numeric-vs-closed", check_lyapunov),

@@ -25,6 +25,8 @@ from torus_echo.cli import (
     parse_config,
     run,
 )
+from torus_echo.dynamics import MapParams
+from torus_echo.hilbert import make_space
 
 MINIMAL_LE = """
 mode = le-curve
@@ -239,8 +241,9 @@ class TestRun:
         assert _check_memory(RunConfig(mode="le-sweep", N=N)) == min(cpus, workers)
 
     def test_echo_working_set_scales_with_threads(self, monkeypatch):
-        # 4 shared vectors and 9 per thread: at N = 2^20 a vector is 16 MiB,
-        # so a cap of v / 64 GiB admits exactly v vectors
+        # 4 shared vectors, 9 per thread and a fixed 4 MiB: at N = 2^20 a
+        # vector is 16 MiB, so a cap of v / 64 GiB admits exactly v vectors,
+        # and the fixed term is a quarter of one
         def workers(n_states, vectors):
             return _check_memory(RunConfig(mode="le-sweep", N=2**20, n_states=n_states,
                                            memory_cap_gib=vectors / 64))
@@ -248,10 +251,10 @@ class TestRun:
         monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: 64)
         below = 2**-24  # a byte under the cap, in vectors
         assert workers(16, 40) == 2  # at most MAX_WORKERS threads
-        assert workers(16, 22) == 2 and workers(16, 22 - below) == 1
-        assert workers(16, 13) == 1 and workers(2, 22) == 2 and workers(1, 22) == 1
+        assert workers(16, 22.25) == 2 and workers(16, 22.25 - below) == 1
+        assert workers(16, 13.25) == 1 and workers(2, 22.25) == 2 and workers(1, 22.25) == 1
         with pytest.raises(ResourceRefusal):
-            workers(16, 13 - below)
+            workers(16, 13.25 - below)
 
     @pytest.mark.parametrize("N, workers, vectors", [
         (2**20, 1, 9.9), (2**20, 2, 16.4), (2**20 + 2, 1, 14.9), (2**20 + 2, 2, 28.4),
@@ -266,6 +269,36 @@ class TestRun:
                            memory_cap_gib=16 * N * vectors / 2**30)
         try:
             assert _check_memory(config) < workers
+        except ResourceRefusal:
+            pass
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_echo_charge_bounds_the_peak_at_n4096(self, tmp_path, monkeypatch, workers):
+        # the peak RSS (VmHWM; a child's ru_maxrss keeps the forked test
+        # runner's) above import of an le-sweep at N = 4096 with 16 states on
+        # w threads, in a fresh process: 3.4-4.0 MiB measured, against
+        # 0.8-1.4 MiB in 4 + 9w vectors.  A cap of exactly that peak does not
+        # admit w threads
+        probe = ("import re, sys\n"
+                 "import torus_echo.cli as cli, torus_echo.dynamics as dynamics\n"
+                 "def hwm():\n"
+                 "    with open('/proc/self/status') as status:\n"
+                 "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+                 f"dynamics.usable_cpus = lambda: {workers}\n"
+                 "before = hwm()\n"
+                 "assert cli.main(['le-sweep', '--config', sys.argv[1]]) == 0\n"
+                 "print(1024 * (hwm() - before))\n")
+        config = _write(tmp_path, "N = 4096\nk = 0.0002\nsigma_over_hbar = 0.5\nt_max = 20\n"
+                                  f"n_states = 16\nout_dir = {tmp_path}")
+        src = os.path.dirname(os.path.dirname(torus_echo.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        peak = int(subprocess.run([sys.executable, "-c", probe, str(config)], env=env,
+                                  capture_output=True, text=True, check=True).stdout)
+        assert peak > 16 * 4096 * (4 + 9 * workers)  # the vectors alone fall short
+        monkeypatch.setattr(torus_echo.dynamics, "usable_cpus", lambda: workers)
+        try:
+            assert _check_memory(RunConfig(mode="le-sweep", N=4096, n_states=16,
+                                           memory_cap_gib=peak / 2**30)) < workers
         except ResourceRefusal:
             pass
 
@@ -343,6 +376,27 @@ class TestRun:
         body = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
         assert [float(line.split(",")[6]) for line in body] == [
             gdm_rate_prediction(0.05, 64), gdm_rate_prediction(0.1, 64)]
+
+    def test_manifest_rows_carry_fit_diagnostics(self, tmp_path):
+        # each row's window, n_points, stderr and floor_estimate, as sweep.csv
+        # and the fit have them, null where the fit failed or a value is NaN
+        # (the first row's window runs to t_max, so it has no floor samples)
+        text = ("mode = purity-sweep\nN = 64\nmodel = gdm\nepsilon = 0.02, 0.05, 3\nt_max = 16\n"
+                f"transient_skip = 0\nout_dir = {tmp_path}")
+        assert run(parse_config(text)) == EXIT_RUNTIME
+        manifest = (tmp_path / "manifest.json").read_text()
+        rows = json.loads(manifest, parse_constant=lambda name: pytest.fail(f"{name} in manifest"))["rows"]
+        fits = [row.fit for row in torus_echo.analysis.sweep_purity(
+            make_space(64), MapParams(2, 2, 0.01), "gdm", [0.02, 0.05, 3.0], 16, 1, transient_skip=0)]
+        assert fits[2] is None and np.isnan(fits[0].floor_estimate)
+        assert [row["floor_estimate"] for row in rows] == [None, fits[1].floor_estimate, None]
+        body = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().split("\n")[1:-1]]
+        for row, cells in zip(rows, body):
+            window = [int(cells[3]), int(cells[4])] if cells[3] else None
+            assert row["window"] == window
+            assert row["n_points"] == (int(cells[5]) if cells[5] else None)
+            assert row["stderr"] == (float(cells[2]) if cells[2] else None)
+        assert rows[1]["window"] == [0, 4] and rows[1]["n_points"] == 5
 
     @pytest.mark.parametrize("model, flags", [("gdm", [False, False, True]),
                                               ("dc", [False, False, False])])

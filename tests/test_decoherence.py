@@ -22,8 +22,8 @@ from torus_echo.decoherence import (
 from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.hilbert import coherent_state, make_space, purity
 from torus_echo.selftest import (apply_decoherence_direct, check_multiplier_against_double_sum,
-                                 chord_orbit_purity, identity_kernel, lorentz_kernel_direct,
-                                 lorentz_kernel_full_band, random_density,
+                                 chord_orbit_purity, identity_kernel, lorentz_kernel_all_nodes,
+                                 lorentz_kernel_direct, lorentz_kernel_full_band, random_density,
                                  random_symmetric_kernel)
 
 from composition_oracle import assert_matches_composition
@@ -144,6 +144,19 @@ class TestLorentzKernel:
         assert np.array_equal(lorentz_kernel(space, 0.0005, 1000),
                               lorentz_kernel_full_band(space, 0.0005, 1000))
 
+    @pytest.mark.parametrize("cutoff", [10, 100, pytest.param(1000, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("eps", [0.0005, 0.0011])
+    @pytest.mark.parametrize("N", [800, 801])
+    def test_moment_rows_equal_all_nodes_to_rounding(self, N, eps, cutoff):
+        # the small-t tail as moment rows against every node's exp sum: at
+        # most 8.9e-16 relative was seen; a moment row's sign flipped, or
+        # A[p, q] read from t^(p + q + 1), fails by far more
+        space = make_space(N)
+        fast = lorentz_kernel(space, eps, cutoff)
+        exact = lorentz_kernel_all_nodes(space, eps, cutoff)
+        assert np.max(np.abs(fast - exact) / exact) < 2e-15
+        assert np.array_equal(fast, fast.T)
+
     @pytest.mark.slow
     def test_inverse_square_tail(self):
         # mid-range ratio c(r,0)/c(2r,0) ~ 4 at N=800, s=1, r=20
@@ -241,15 +254,17 @@ class TestLorentzThreads:
         # an entry adds its node terms in order, the same bits in any block and range
         rng = np.random.default_rng(5)
         theta, w = rng.random((40, 7)), rng.random(40)
-        one = decoherence._lorentz_product(theta, w, 13, 1)
+        weighted = theta * w[:, None]
+        one = decoherence._lorentz_product(theta, weighted, 13, 1)
         for block in (1, 3, 32):
             monkeypatch.setattr(decoherence, "_BLOCK_ROWS", block)
-            assert np.array_equal(decoherence._lorentz_product(theta, w, 13, workers), one)
+            assert np.array_equal(decoherence._lorentz_product(theta, weighted, 13, workers), one)
         direct = np.einsum("ia,ib,i->ab", theta, theta, w)
         assert np.max(np.abs(one[:7, :7] - direct) / direct) < 1e-14
         # the upper triangle mirrored, then unfolded from the (7, 7) quadrant
         # by j -> min(j, N - j), at odd and even N
-        for N, raw in ((13, one), (12, decoherence._lorentz_product(theta, w, 12, workers))):
+        even = decoherence._lorentz_product(theta, weighted, 12, workers)
+        for N, raw in ((13, one), (12, even)):
             fold = np.minimum(np.arange(N), N - np.arange(N))
             assert np.array_equal(raw, one[:7, :7][fold][:, fold])
             assert np.array_equal(raw, raw.T)

@@ -27,6 +27,8 @@ def test_runner_reports_success(capsys):
 
 
 def test_oracles_stay_out_of_the_runtime_modules():
+    assert {"lorentz_kernel_all_nodes", "lorentz_kernel_full_band", "lorentz_kernel_direct",
+            "check_lorentz_moments"} <= set(ORACLE_NAMES)
     # a fresh interpreter: this process has imported selftest already; the
     # CLI imports it only to run the selftest mode
     probe = ("import sys, torus_echo\n"
