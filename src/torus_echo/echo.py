@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import (Curve, MapParams, build_propagator, lyapunov_closed_form, run_parts,
                        thread_count)
-from .hilbert import SpaceDescriptor, _check_integer, coherent_state
+from .hilbert import SpaceDescriptor, _check_integer, coherent_state, squared_row_norms
 from .rng import substream
 
 
@@ -134,13 +134,14 @@ def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
     block, unless it is the identity), one multiply by the weights and one
     DFT of length N/g on each class.  The out-chirp and the permutation are
     the same unitary map on both branches, so each overlap is read from the
-    stored DFT outputs.  The values agree with the one-state, two-FFT oracle
-    (selftest.echo_values_direct) to rounding.
+    stored DFT outputs, as numpy's pairwise row sum of conj(phi[1]) * phi[0]
+    (no BLAS: the same bits in any block and at any BLAS thread count).  The
+    values agree with the two-FFT oracle, selftest.echo_values_direct, to rounding.
     """
     weights, entry, perm = tables
     m, (g, M) = phi.shape[1], entry.shape
     values = np.empty((m, t_max + 1))
-    values[:, 0] = [abs(np.vdot(row, row)) ** 2 for row in phi[0]]
+    values[:, 0] = squared_row_norms(phi[0]) ** 2
     layout = phi.reshape(2, m, g, M)
     # the states' class layout times the conjugate out-chirp, in row 1, then
     # with the permutation undone: both branches' stored Y
@@ -151,13 +152,14 @@ def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
         phi[0][:, perm] = phi[1]
     phi[1] = phi[0]
     source = phi if perm is None else np.empty_like(phi)
+    product = np.empty_like(phi[0])
     for t in range(1, t_max + 1):
         if perm is not None:
             np.take(phi, perm, axis=-1, out=source, mode="clip")
         np.multiply(weights[:, :m], source, out=phi)
         np.fft.fft(layout, out=layout)
-        for i in range(m):
-            values[i, t] = abs(np.vdot(phi[1, i], phi[0, i])) ** 2
+        np.multiply(np.conjugate(phi[1], out=product), phi[0], out=product)
+        values[:, t] = np.abs(product.sum(axis=-1)) ** 2
     return values
 
 

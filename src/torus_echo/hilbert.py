@@ -78,7 +78,7 @@ def coherent_state(space: SpaceDescriptor, q0: float, p0: float) -> np.ndarray:
         lo, hi = (min(N, max(0, math.floor(N * (q0 + m) + d))) for d in (-half, half + 2))
         x = np.arange(lo, hi, dtype=float) / N - q0 - m
         psi[lo:hi] += np.exp(-np.pi * N * x * x + 2j * np.pi * N * p0 * x)
-    return psi / np.linalg.norm(psi)
+    return psi / np.sqrt(squared_row_norms(psi[None])[0])
 
 
 def _chord_phase(N: int) -> np.ndarray:

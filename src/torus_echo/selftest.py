@@ -51,7 +51,7 @@ from .dynamics import (
 from .echo import (_echo_values, _kinetic_cosets, _propagator_pair, _step_tables, averaged_le,
                    ensemble_centers, le_curve)
 from .hilbert import (COHERENT_IMAGE_RANGE, SpaceDescriptor, chord_to_rho, coherent_state,
-                      cyclic_diagonals, make_space, purity, rho_to_chord)
+                      cyclic_diagonals, make_space, purity, rho_to_chord, squared_row_norms)
 from .rng import substream
 
 
@@ -166,7 +166,7 @@ def coherent_state_all_images(space: SpaceDescriptor, q0: float, p0: float) -> n
     for m in range(-COHERENT_IMAGE_RANGE, COHERENT_IMAGE_RANGE + 1):
         x = j / N - q0 - m
         psi += np.exp(-np.pi * N * x * x + 2j * np.pi * N * p0 * x)
-    return psi / np.linalg.norm(psi)
+    return psi / np.sqrt(squared_row_norms(psi[None])[0])
 
 
 def apply_decoherence_direct(rho: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -257,8 +257,8 @@ class TestRun:
             workers(16, 13.25 - below)
 
     @pytest.mark.parametrize("N, workers, vectors", [
-        (2**20, 1, 9.9), (2**20, 2, 16.4), (2**20 + 2, 1, 14.9), (2**20 + 2, 2, 28.4),
-        (2**20 - 3, 1, 22.6), (2**20 - 3, 2, 44.2), (2**19 - 1, 1, 22.8), (2**19 - 1, 2, 45.3)])
+        (2**20, 1, 9.9), (2**20, 2, 16.4), (2**20 + 2, 1, 15.9), (2**20 + 2, 2, 29.0),
+        (2**20 - 3, 1, 23.6), (2**20 - 3, 2, 44.2), (2**19 - 1, 1, 23.7), (2**19 - 1, 2, 45.3)])
     def test_echo_charge_covers_measured_peaks(self, monkeypatch, N, workers, vectors):
         # peak RSS above import of an le-sweep with n_states = w, in complex
         # N-vectors (docs/DECISIONS.md, "Echo modes"): a cap of exactly that
@@ -276,7 +276,7 @@ class TestRun:
     def test_echo_charge_bounds_the_peak_at_n4096(self, tmp_path, monkeypatch, workers):
         # the peak RSS (VmHWM; a child's ru_maxrss keeps the forked test
         # runner's) above import of an le-sweep at N = 4096 with 16 states on
-        # w threads, in a fresh process: 3.4-4.0 MiB measured, against
+        # w threads, in a fresh process: 3.4-4.2 MiB measured, against
         # 0.8-1.4 MiB in 4 + 9w vectors.  A cap of exactly that peak does not
         # admit w threads
         probe = ("import re, sys\n"
@@ -576,26 +576,34 @@ class TestMain:
         assert (tmp_path / "c.csv").read_text().splitlines()[1:] == [
             "0,1,0", "1,0.5,0.69314718055994529", "2,0,inf"]
 
-    @pytest.mark.parametrize("mode, model, epsilon", [
-        ("purity-sweep", "gdm", "0.004,0.008"), ("purity-curve", "gdm", "0.004,0.008"),
-        ("purity-sweep", "ldm", "0.0005,0.0011"), ("purity-sweep", "mixture", "0.0005,0.0011")],
-        ids=["purity-sweep", "purity-curve", "purity-sweep-ldm", "purity-sweep-mixture"])
-    def test_purity_csvs_do_not_depend_on_blas_threads(self, tmp_path, mode, model, epsilon):
+    @pytest.mark.parametrize("mode, sets", [
+        ("purity-sweep", ["epsilon=0.004,0.008"]), ("purity-curve", ["epsilon=0.004,0.008"]),
+        ("purity-sweep", ["model=ldm", "epsilon=0.0005,0.0011"]),
+        ("purity-sweep", ["model=mixture", "epsilon=0.0005,0.0011"]),
+        ("le-sweep", ["N=16384", "a=4", "b=4", "sigma_over_hbar=3.511,10", "t_max=16"])],
+        ids=["purity-sweep", "purity-curve", "purity-sweep-ldm", "purity-sweep-mixture", "le-sweep"])
+    def test_csvs_do_not_depend_on_blas_threads(self, tmp_path, mode, sets):
         # fresh interpreters, since OpenBLAS reads its thread count when it
-        # loads; at N = 800 a BLAS reduction over the diagonals, or a BLAS
-        # product in the Lorentz kernel, would split across its threads
-        path = _write(tmp_path, PAPER_PURITY.replace("model = gdm", f"model = {model}"))
+        # loads, at one and two BLAS threads and with the count unset, the
+        # default: at N = 800 a BLAS reduction over the diagonals or a BLAS
+        # product in the Lorentz kernel, and at N = 2^14 a BLAS overlap or
+        # norm in the echo, would split across its threads
+        path = _write(tmp_path, PAPER_PURITY if mode.startswith("purity") else MINIMAL_LE)
         src = os.path.dirname(os.path.dirname(torus_echo.__file__))
         bodies = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            dest = tmp_path / threads
+        for threads in ("1", "2", None):
+            env = {name: value for name, value in os.environ.items()
+                   if name != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            dest = tmp_path / (threads or "unset")
             subprocess.run([sys.executable, "-m", "torus_echo.cli", mode, "--config", str(path),
-                            "--out", str(dest), "--set", f"epsilon={epsilon}",
-                            "--set", "transient_skip=0"], env=env, capture_output=True, check=True)
+                            "--out", str(dest), "--set", "transient_skip=0",
+                            *(arg for text in sets for arg in ("--set", text))],
+                           env=env, capture_output=True, check=True)
             bodies.append({p.name: p.read_bytes() for p in dest.glob("*.csv")})
-        assert bodies[0] and bodies[0] == bodies[1]
+        assert bodies[0] and bodies[0] == bodies[1] == bodies[2]
 
     def test_runs_import_no_scipy(self, tmp_path):
         # a fresh interpreter, since this process may have imported scipy: a

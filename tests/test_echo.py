@@ -320,12 +320,14 @@ class TestMemory:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_shared_table_of_the_block_shape(self, workers):
         # the w (2, m, N) block buffers, one (2, m, N) weights table shared by
-        # the chunks, and 0.375 MiB per thread for the rest (a coherent
-        # state's temporaries, the entry chirp, the values); a table copied
-        # per thread or per block would add m / 4 MiB at least, m = 8 / w
+        # the chunks, the w (m, N) buffers of the overlaps' terms (a block's
+        # conj(phi[1]) * phi[0], summed along rows), and 0.375 MiB per thread
+        # for the rest (a coherent state's temporaries, the entry chirp, the
+        # values); a table copied per thread or per block would add m / 8 MiB
+        # per copy, m = 8 / w
         N = 4096
         block = 2**15 // (workers * N)
-        budget = 16 * 2 * block * N * (workers + 1) + workers * 0.375 * 2**20
+        budget = 16 * block * N * (2 * (workers + 1) + workers) + workers * 0.375 * 2**20
         assert self.peak_bytes(N, 16, workers) <= budget
 
 
