@@ -81,11 +81,11 @@ def fit_decay_rate(curve, floor_hint: float,
     t = np.arange(t1, t2 + 1, dtype=float)
     y = -np.log(window)
     t_c = t - t.mean()
-    denom = np.dot(t_c, t_c)
-    slope = np.dot(t_c, y - y.mean()) / denom
+    denom = np.einsum("i,i->", t_c, t_c)  # einsum's own loop: no BLAS call in a run
+    slope = np.einsum("i,i->", t_c, y - y.mean()) / denom
     resid = y - (y.mean() + slope * t_c)
     dof = max(n - 2, 1)
-    stderr = float(np.sqrt(np.dot(resid, resid) / dof / denom))
+    stderr = float(np.sqrt(np.einsum("i,i->", resid, resid) / dof / denom))
     tail = v[t2 + 1:]
     floor_estimate = float(tail.mean()) if tail.size else float("nan")
     return RateFit(gamma=float(slope), stderr=stderr, window=(t1, t2),

@@ -298,7 +298,7 @@ def run(config: RunConfig) -> int:
     workers = _check_memory(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()  # a monotonic clock: NTP steps the wall clock
     row_status = []
     outputs = []
     manifest = {"version": __version__, "config": asdict(config),
@@ -337,7 +337,7 @@ def run(config: RunConfig) -> int:
         manifest["error"] = f"{type(err).__name__}: {err}"
         raise
     finally:
-        manifest["duration_seconds"] = time.time() - started
+        manifest["duration_seconds"] = time.perf_counter() - started
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     failed = [r for r in row_status if r["status"] != "ok"]

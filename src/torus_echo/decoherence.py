@@ -75,7 +75,6 @@ c(q,p) = c(-q,-p) exact, bitwise, under truncation.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -288,10 +287,6 @@ def mixture_kernel(k1: np.ndarray, k2: np.ndarray, w: float) -> np.ndarray:
         raise ValueError(f"kernel shape mismatch: {k1.shape} vs {k2.shape}")
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixture weight must be in [0, 1], got {w}")
-    if w == 1.0:
-        return k1
-    if w == 0.0:
-        return k2
     weights = w * k1 + (1.0 - w) * k2
     weights.setflags(write=False)
     return weights
@@ -458,15 +453,14 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     return values
 
 
-def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
-                 t_max: int, workers: Optional[int] = None) -> Curve:
+def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray, t_max: int) -> Curve:
     """Purity P(t), t = 0..t_max, of rho_t under rho' = D(U rho U^dag) from a
     pure initial state, by the fused step on the held rows of the cyclic
     diagonals that the module docstring derives.
 
-    The H = N//2 + 1 rows split into w = dynamics.thread_count(H, workers)
-    contiguous ranges that build the step from the kernel (its FFT, weights
-    and gather index) and then advance, in parallel threads
+    The H = N//2 + 1 rows split into w = dynamics.thread_count(H) contiguous
+    ranges (the manifest's threads) that build the step from the kernel (its
+    FFT, weights and gather index) and then advance, in parallel threads
     (_advance_diagonals); w = 1 starts no thread.  numpy's FFTs, ufuncs,
     take and einsum release the GIL.  Each row's values, and so the curve,
     are the same bits whatever w.  A kernel not symmetric under
@@ -479,8 +473,7 @@ def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray,
     if kernel.shape != (N, N):
         raise ValueError(f"kernel shape {kernel.shape} != ({N}, {N})")
     H = N // 2 + 1
-    workers = thread_count(H, workers)
     phases = _diagonal_step(prop, kernel)
     psi = np.asarray(psi0, dtype=np.complex128)
     d = _cyclic_diagonals(psi)[:H] * psi.conj()
-    return Curve(_advance_diagonals(phases, d, t_max, workers))
+    return Curve(_advance_diagonals(phases, d, t_max, thread_count(H)))

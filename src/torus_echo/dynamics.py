@@ -30,9 +30,10 @@ import numpy as np
 
 from .hilbert import SpaceDescriptor, _check_integer
 
-# Threads of echo.averaged_le and of decoherence.purity_curve at most: their
-# speed and peak RSS were measured on two CPUs (BENCH_echo-threads.json,
-# BENCH_purity-threads.json); more threads are unmeasured.
+# The default thread count of every step at most: the steps' speed and peak
+# RSS were measured on two CPUs (BENCH_echo-threads.json,
+# BENCH_purity-threads.json); more threads are unmeasured.  Only an explicit
+# workers of echo.averaged_le exceeds it, and only in tests.
 MAX_WORKERS = 2
 
 

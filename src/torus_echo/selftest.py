@@ -37,7 +37,6 @@ from .decoherence import (
     depolarizing_kernel,
     gaussian_kernel,
     lorentz_kernel,
-    purity_curve,
 )
 from .dynamics import (
     MapParams,
@@ -413,16 +412,17 @@ def chord_orbit_purity(psi: np.ndarray, a: int, b: int, chat: np.ndarray,
 
 
 def check_chord_orbit(N=24, t_max=6):
-    """purity_curve at k = 0 against chord_orbit_purity, random symmetric
-    kernel, on one thread and on two whatever the host."""
+    """purity_curve's step at k = 0 against chord_orbit_purity, random
+    symmetric kernel, on one thread and on two whatever the host."""
     space, kernel = make_space(N), random_symmetric_kernel(N, seed=12)
     psi = coherent_state(space, 0.31, 0.47)
+    rows = cyclic_diagonals(np.outer(psi, psi.conj()))[:N // 2 + 1]
     worst = 0.0
     for a, b in ((2, 2), (2, 4), (4, 2)):
         expected = chord_orbit_purity(psi, a, b, chord_multiplier(kernel), t_max)
         prop = build_propagator(space, MapParams(a, b, 0.0))
         for workers in (1, 2):
-            got = purity_curve(psi, prop, kernel, t_max, workers=workers).values
+            got = _advance_diagonals(_diagonal_step(prop, kernel), rows.copy(), t_max, workers)
             worst = max(worst, float(np.max(np.abs(got - expected) / expected)))
     return worst, 1e-12
 

@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import platform
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -422,6 +424,14 @@ class TestRun:
         nproc = len(os.sched_getaffinity(0))
         assert env == {"python": platform.python_version(), "numpy": np.__version__,
                        "nproc": nproc, "threads": min(nproc, 2)}
+
+    def test_duration_from_a_monotonic_clock(self, tmp_path, monkeypatch):
+        # the wall clock stepped back an hour at each reading, as NTP may step it
+        readings = itertools.count(1e9, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: next(readings))
+        cfg = parse_config(MINIMAL_LE, overrides=[f"out_dir={tmp_path}", "N=32", "t_max=2"])
+        assert run(cfg) == EXIT_OK
+        assert json.loads((tmp_path / "manifest.json").read_text())["duration_seconds"] >= 0
 
     @pytest.mark.parametrize("cpus, text, threads", [
         (1, "mode = le-sweep\nN = 32\nsigma_over_hbar = 1\nn_states = 4", 1),

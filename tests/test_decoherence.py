@@ -304,8 +304,9 @@ class TestMixtureKernel:
         space = make_space(32)
         g = gaussian_kernel(space, 0.3)
         l = lorentz_kernel(space, 0.3, image_cutoff=20)
-        assert mixture_kernel(g, l, 1.0) is g
-        assert mixture_kernel(g, l, 0.0) is l
+        for w, expected in ((1.0, g), (0.0, l)):
+            m = mixture_kernel(g, l, w)
+            assert np.array_equal(m, expected) and not m.flags.writeable
 
     def test_convexity(self):
         space = make_space(32)
@@ -485,6 +486,12 @@ class TestPurityCurve:
             purity_curve(self.psi[:, None], self.prop, gaussian_kernel(self.space, 0.3), 5)
 
 
+def use_threads(monkeypatch, workers):
+    """Make dynamics.thread_count's default workers threads, whatever the host."""
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(dynamics, "MAX_WORKERS", workers)
+
+
 class TestPurityMemory:
     """The traced peak of one purity_curve call, the kernel built beforehand,
     in units of 16 N^2 bytes.  The step's live arrays take about 1.78: the
@@ -497,13 +504,14 @@ class TestPurityMemory:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("N", [512, 801])
-    def test_traced_peak_within_2_2_units(self, N, workers):
+    def test_traced_peak_within_2_2_units(self, monkeypatch, N, workers):
         space = make_space(N)
         prop = build_propagator(space, MapParams(2, 2, 0.01))
         psi, kernel = coherent_state(space, 0.31, 0.47), gaussian_kernel(space, 0.1)
+        use_threads(monkeypatch, workers)
         tracemalloc.start()
         try:
-            purity_curve(psi, prop, kernel, 3, workers=workers)
+            purity_curve(psi, prop, kernel, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -547,25 +555,26 @@ class TestDiagonalStep:
             assert np.max(np.abs(values - expected) / expected) < 1e-12, tag
 
 
-def small_gdm_curve(N, workers=None):
+def small_gdm_curve(N):
     space = make_space(N)
     return purity_curve(coherent_state(space, 0.31, 0.47),
-                        build_propagator(space, MapParams(2, 2)), gaussian_kernel(space, 0.3),
-                        6, workers=workers)
+                        build_propagator(space, MapParams(2, 2)), gaussian_kernel(space, 0.3), 6)
 
 
 class TestPurityThreads:
-    """purity_curve with its thread count named, whatever the host: every
+    """purity_curve with its thread count set, whatever the host: every
     split of the rows into ranges gives the one-thread curve's bits."""
 
     @pytest.mark.parametrize("N", [7, 8, 800, 801])
     @pytest.mark.parametrize("tag, eps", FAMILIES_AT_N800)
-    def test_two_threads_equal_one_bitwise(self, N, tag, eps):
+    def test_two_threads_equal_one_bitwise(self, monkeypatch, N, tag, eps):
         space = make_space(N)
         prop = build_propagator(space, MapParams(2, 2, 0.01))
         psi, kernel = coherent_state(space, 0.31, 0.47), build_kernel(space, tag, eps)
-        one = purity_curve(psi, prop, kernel, 6, workers=1).values
-        assert np.array_equal(purity_curve(psi, prop, kernel, 6, workers=2).values, one)
+        use_threads(monkeypatch, 1)
+        one = purity_curve(psi, prop, kernel, 6).values
+        use_threads(monkeypatch, 2)
+        assert np.array_equal(purity_curve(psi, prop, kernel, 6).values, one)
 
     @staticmethod
     def recording_phases(monkeypatch):
@@ -597,14 +606,16 @@ class TestPurityThreads:
         space = make_space(9)
         prop = build_propagator(space, MapParams(2, 4, 0.03))
         psi, kernel = coherent_state(space, 0.31, 0.47), random_symmetric_kernel(9, seed=4)
-        one = purity_curve(psi, prop, kernel, 12, workers=1).values
+        use_threads(monkeypatch, 1)
+        one = purity_curve(psi, prop, kernel, 12).values
         calls = self.recording_phases(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 3, 5, 8):
                 calls.clear()
-                got = purity_curve(psi, prop, kernel, 12, workers=workers).values
+                use_threads(monkeypatch, workers)
+                got = purity_curve(psi, prop, kernel, 12).values
                 assert np.array_equal(got, one), workers
                 # each range built its own share of the step, in a thread of its own
                 parts = min(workers, 5)
@@ -633,10 +644,6 @@ class TestPurityThreads:
         threads = {thread for *_, thread in calls}
         assert len(threads) == workers and threading.main_thread() in threads
         assert {(lo, hi) for _, lo, hi, _ in calls} == self.ranges(N // 2 + 1, workers)
-
-    def test_workers_below_one_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            small_gdm_curve(16, workers=0)
 
     @staticmethod
     def failing_phases(monkeypatch, phase, caller_rows, fault):
@@ -667,25 +674,28 @@ class TestPurityThreads:
     @pytest.mark.parametrize("caller_rows", [True, False], ids=["caller", "worker"])
     def test_fault_in_either_thread_reaches_the_caller(self, monkeypatch, phase, caller_rows):
         self.failing_phases(monkeypatch, phase, caller_rows, RuntimeError("rows failed"))
+        use_threads(monkeypatch, 2)
         alive = threading.active_count()
         with pytest.raises(RuntimeError, match="rows failed"):
-            small_gdm_curve(64, workers=2)
+            small_gdm_curve(64)
         assert threading.active_count() == alive
 
     def test_interrupt_ends_the_other_thread(self, monkeypatch):
         self.failing_phases(monkeypatch, 3, True, KeyboardInterrupt())
+        use_threads(monkeypatch, 2)
         alive = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            small_gdm_curve(64, workers=2)
+            small_gdm_curve(64)
         assert threading.active_count() == alive
 
     @pytest.mark.parametrize("phase", [0, 1], ids=["spectrum", "tables"])
     @pytest.mark.parametrize("caller_rows", [True, False], ids=["caller", "worker"])
     def test_interrupt_in_the_setup_reaches_the_caller(self, monkeypatch, phase, caller_rows):
         self.failing_phases(monkeypatch, phase, caller_rows, KeyboardInterrupt())
+        use_threads(monkeypatch, 2)
         alive = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            small_gdm_curve(64, workers=2)
+            small_gdm_curve(64)
         assert threading.active_count() == alive
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -704,10 +714,11 @@ class TestPurityThreads:
         residues = np.max(np.abs(np.fft.rfft2(kernel).imag), axis=0)
         assert np.argmax(residues) == large and residues[small] > decoherence._SYMMETRY_TOL
         calls = self.recording_phases(monkeypatch)
+        use_threads(monkeypatch, workers)
         alive = threading.active_count()
         with pytest.raises(ValueError, match=re.escape(f"imaginary residue {residues.max():.3e}")):
             purity_curve(coherent_state(space, 0.31, 0.47), build_propagator(space, MapParams(2, 2)),
-                         kernel, 6, workers=workers)
+                         kernel, 6)
         assert {(lo, hi) for name, lo, hi, _ in calls if name == "tables"} == self.ranges(33, workers)
         assert {name for name, *_ in calls} == {"spectrum", "tables"}
         assert threading.active_count() == alive

@@ -313,6 +313,34 @@ def test_only_dynamics_starts_threads():
     assert importing == ["dynamics.py"]
 
 
+BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "linalg"}
+
+
+def test_no_run_calls_blas():
+    # no CSV cell depends on the BLAS build or its thread count: no runtime
+    # module (the oracles in selftest may) names numpy's products or
+    # np.linalg, uses @, or lets einsum dispatch to BLAS through optimize
+    package = Path(dynamics.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "selftest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif (isinstance(node, ast.Attribute) and node.attr in BLAS_FUNCTIONS
+                  and ast.unparse(node.value) in ("np", "numpy")):
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                names = {alias.name for alias in node.names} | {node.module.split(".")[-1]}
+                found += [(path.name, node.lineno, name) for name in names & BLAS_FUNCTIONS]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+                  and any(keyword.arg == "optimize" for keyword in node.keywords)):
+                found.append((path.name, node.lineno, "einsum optimize"))
+    assert found == []
+
+
 class TestRunParts:
     """The thread protocol of the echo ensemble's chunks and of the purity
     step's row ranges."""

@@ -4,10 +4,9 @@ The CSV bodies are the library's output contract.  Header, integer and empty
 cells must match exactly; float cells to 1e-12 relative with a 1e-15
 absolute floor, since the last bits can move with the numpy build.  The
 floor governs every cell below 1e-3: -ln P(0) and the stderr of near-exact
-fits.  The only BLAS call of a run is the rate fit's, three dot products on
-at most t_max + 1 samples; the echo and purity curves, kernels included,
-call none, and test_cli.py checks both modes' CSVs byte for byte at one and
-two BLAS threads and with the count unset.
+fits.  No run calls BLAS, neither the curves, kernels included, nor the rate
+fit (test_dynamics.py checks the source), and test_cli.py checks both modes'
+CSVs byte for byte at one and two BLAS threads and with the count unset.
 
 Regenerate the golden files only on purpose, and say why in CHANGES.md:
 
