@@ -28,7 +28,6 @@ error, 3 resource refusal.
 
 import argparse
 import json
-import math
 import platform
 import sys
 import time
@@ -41,9 +40,9 @@ import numpy as np
 from . import __version__
 from .analysis import (DEFAULT_FLOOR_FACTOR, DEFAULT_TRANSIENT_SKIP, RATE_MODELS, SweepRow,
                        _prediction_for, sweep_echo, sweep_purity)
-from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS
+from .decoherence import LORENTZ_DEFAULT_IMAGE_CUTOFF, MODELS, working_set as purity_working_set
 from .dynamics import MapParams, lyapunov_closed_form, thread_count, usable_cpus
-from .echo import _BLOCK_VALUES, default_echo_t_max
+from .echo import default_echo_t_max, working_set as echo_working_set
 from .hilbert import make_space
 
 MODES = ("le-curve", "le-sweep", "purity-curve", "purity-sweep", "predict")
@@ -191,41 +190,23 @@ def _fmt(x) -> str:
 def _check_memory(config: RunConfig) -> int:
     """Refuses a run whose estimated working set exceeds the memory cap, and
     returns the run's thread count: an echo run's thread_count(n_states),
-    lowered until the working set fits; the purity step's
-    thread_count(N//2 + 1); 1 for predict.  The peak RSS behind each charge
+    lowered until echo.working_set fits; the purity run's count from
+    decoherence.working_set; 1 for predict.  The peak RSS behind each charge
     is in docs/DECISIONS.md."""
-    N = config.N
     cap = config.memory_cap_gib * 2**30
     workers, working_set = 1, 0.0  # predict evaluates closed forms only
     if config.mode in PURITY_MODES:
-        # 4 complex N x N units: the step's live arrays and the kernel take 2.28,
-        # and peak RSS grew by at most 2.41 per unit (BENCH_purity-onecopy.json);
-        # a lower charge would admit more runs, a separate decision
-        workers, working_set = thread_count(N // 2 + 1), 4 * 16 * N ** 2
-        if config.model in ("ldm", "mixture"):
-            # lorentz_kernel's float (2x + 1, N//2 + 1) arrays, x = image_cutoff:
-            # the squared distances and one band buffer per thread
-            # (BENCH_lorentz-fold.json)
-            working_set += (1 + workers) * 8 * (2 * config.image_cutoff + 1) * (N // 2 + 1)
+        workers, working_set = purity_working_set(config.N, config.model, config.image_cutoff)
     elif config.mode in ECHO_MODES:
-        # 4 + 9w complex vectors on w threads (BENCH_echo-threads.json); 16 M/N
-        # more per thread where the DFT length M = N/gcd(b, N) has a prime factor
-        # above sqrt(M), for numpy's Bluestein FFT; 4 MiB for the blocks' buffers,
-        # their table, FFT plans and thread arenas (docs/DECISIONS.md, "Echo
-        # modes").  A thread fewer costs speed, not bits, so w drops to fit first
-        rest = M = N // math.gcd(config.b, N)
-        for p in range(2, math.isqrt(M) + 1):
-            while rest % p == 0:
-                rest //= p
-        per_thread = 9 + (16 * M / N if rest > 1 else 0)
+        # a thread fewer costs speed, not bits, so w drops to fit first
         workers = thread_count(config.n_states)
-        while workers > 1 and 16 * (N * (4 + per_thread * workers) + 8 * _BLOCK_VALUES) > cap:
+        while workers > 1 and echo_working_set(config.N, config.b, workers) > cap:
             workers -= 1
-        working_set = 16 * (N * (4 + per_thread * workers) + 8 * _BLOCK_VALUES)
+        working_set = echo_working_set(config.N, config.b, workers)
     if working_set > cap:
         raise ResourceRefusal(
             f"estimated working set {working_set / 2**30:.1f} GiB exceeds cap "
-            f"{config.memory_cap_gib} GiB (N={N}, mode={config.mode}); "
+            f"{config.memory_cap_gib} GiB (N={config.N}, mode={config.mode}); "
             "raise memory_cap_gib to force the run"
         )
     return workers
@@ -371,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.mode == "selftest":
         from .selftest import run_selftest  # the oracles load only here
-        return EXIT_OK if run_selftest(verbose=True) else EXIT_RUNTIME
+        return EXIT_OK if run_selftest() else EXIT_RUNTIME
 
     if not args.config:
         parser.error(f"mode '{args.mode}' requires --config")

@@ -453,6 +453,17 @@ def _advance_diagonals(phases, d: np.ndarray, t_max: int, workers: int) -> np.nd
     return values
 
 
+def working_set(N: int, model_tag: str, image_cutoff: int):
+    """A purity run's threads, purity_curve's thread_count(N//2 + 1), and its
+    charge in bytes: 4 complex N x N units, of which the step's live arrays
+    and the kernel take 2.28 (BENCH_purity-onecopy.json), and for ldm and
+    mixture lorentz_kernel's 1 + w float (2x + 1, N//2 + 1) arrays, x =
+    image_cutoff: distances and a band buffer per thread (BENCH_lorentz-fold.json)."""
+    workers = thread_count(N // 2 + 1)
+    lorentz = (1 + workers) * 8 * (2 * image_cutoff + 1) * (N // 2 + 1)
+    return workers, 4 * 16 * N ** 2 + (lorentz if model_tag in ("ldm", "mixture") else 0)
+
+
 def purity_curve(psi0: np.ndarray, prop: Propagator, kernel: np.ndarray, t_max: int) -> Curve:
     """Purity P(t), t = 0..t_max, of rho_t under rho' = D(U rho U^dag) from a
     pure initial state, by the fused step on the held rows of the cyclic

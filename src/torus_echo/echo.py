@@ -32,19 +32,22 @@ def default_echo_t_max(space: SpaceDescriptor, params: MapParams) -> int:
 # States per block of averaged_le: the blocks' (2, m, N) buffers hold 2^16
 # complex values (1 MiB) over the chunks' threads, and the one weights table of
 # their shape 1/w of it: 8 states at N = 4096 on one CPU, 4 per thread on two,
-# and one state per thread, with a (2, 1, N) table, from N = 2^15 up.
+# and one state per thread from N = 2^15 up.
 _BLOCK_VALUES = 2**15
 
 
-def _propagator_pair(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
-                     t_max: int):
-    """Validated (k, k') propagators of one echo run, k' = k + sigma_over_hbar * hbar."""
-    _check_integer("t_max", t_max, 1)
-    if not np.isfinite(sigma_over_hbar):
-        raise ValueError(f"sigma_over_hbar must be finite, got {sigma_over_hbar}")
-    k_prime = params.k + sigma_over_hbar * space.hbar
-    return (build_propagator(space, params),
-            build_propagator(space, MapParams(params.a, params.b, k_prime)))
+def working_set(N: int, b: int, workers: int) -> float:
+    """An echo run's charge in bytes on w = workers threads: 4 + 9w complex
+    N-vectors (BENCH_echo-threads.json), 16 M/N more per thread where the DFT
+    length M = N/gcd(b, N) has a prime factor above sqrt(M) (numpy's Bluestein
+    FFT), and 4 MiB for the blocks' buffers, their table, FFT plans and thread
+    arenas (docs/DECISIONS.md, "Echo modes")."""
+    rest = M = N // math.gcd(b, N)
+    for p in range(2, math.isqrt(M) + 1):
+        while rest % p == 0:
+            rest //= p
+    per_thread = 9 + (16 * M / N if rest > 1 else 0)
+    return 16 * (N * (4 + per_thread * workers) + 8 * _BLOCK_VALUES)
 
 
 def _kinetic_cosets(N: int, b: int):
@@ -83,15 +86,16 @@ def _kinetic_cosets(N: int, b: int):
     return g, g // 2 * eps, gamma, chirp, h0
 
 
-def _step_tables(kick: np.ndarray, b: int):
-    """The echo step's tables for the (2, N) kick rows of a pair.
+def _step_tables(kick: np.ndarray, b: int, m: int):
+    """The echo step's tables for the (2, N) kick rows of a pair, m states per block.
 
     The step holds each state in class layout, S[rho, v] = psi(g v + rho)
     (_kinetic_cosets), and stores the DFT's output Y before the out-chirp
     and the output permutation: psi's layout is out_chirp * Y[..., perm].
     One step is then Y <- fft_M(weights * Y[..., perm]), unscaled.  Returns
-      - weights, (2, 1, N): each row's kick in class layout, times the
-        in-chirp h(-v), times the out-chirp h(u)/h(0) permuted into place;
+      - weights, (2, m, N): each row's kick in class layout, times the
+        in-chirp h(-v), times the out-chirp h(u)/h(0) permuted into place,
+        repeated on the m rows, so the step's multiply runs contiguously;
       - entry, (g, M): the conjugate out-chirp in class layout, which maps an
         initial state's layout to the stored Y once perm is undone;
       - perm, (N,) or None: the flat index into Y of each layout position,
@@ -106,28 +110,33 @@ def _step_tables(kick: np.ndarray, b: int):
     perm = (((rho - r0) % g) * M + gamma * u % M).reshape(N)
     out_chirp = chirp[u]
     layout_kick = kick.reshape(2, M, g).transpose(0, 2, 1)
-    weights = layout_kick * (h0 * chirp[-v % M])
-    weights *= out_chirp
+    weights = np.empty((2, m, g, M), dtype=np.complex128)
+    np.multiply(layout_kick, h0 * chirp[-v % M], out=weights[:, 0])
+    weights[:, 0] *= out_chirp
+    weights[:, 1:] = weights[:, :1]
     if np.array_equal(perm, np.arange(N)):
         perm = None
-    return weights.reshape(2, 1, N), out_chirp.conj(), perm
+    return weights.reshape(2, m, N), out_chirp.conj(), perm
 
 
 def _stacked_phases(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: float,
-                    t_max: int):
-    """The echo step's tables (_step_tables) for the pair's kick phases, row
-    0 k and row 1 k'; the kinetic half depends on b alone.  The Propagators
-    are dropped once their kicks are stacked."""
-    kick = np.stack([prop.kick_phases
-                     for prop in _propagator_pair(space, params, sigma_over_hbar, t_max)])
-    return _step_tables(kick, params.b)
+                    t_max: int, m: int):
+    """Validated echo step tables (_step_tables) at m states per block: row 0
+    kicks with k, row 1 with k' = k + sigma_over_hbar * hbar, and the kinetic
+    half depends on b alone, so the Propagators are dropped once stacked."""
+    _check_integer("t_max", t_max, 1)
+    if not np.isfinite(sigma_over_hbar):
+        raise ValueError(f"sigma_over_hbar must be finite, got {sigma_over_hbar}")
+    kick = np.stack([build_propagator(space, MapParams(params.a, params.b, k)).kick_phases
+                     for k in (params.k, params.k + sigma_over_hbar * space.hbar)])
+    return _step_tables(kick, params.b, m)
 
 
 def _echo_values(phi: np.ndarray, tables, t_max: int) -> np.ndarray:
     """M(t) for t = 0..t_max of each state of a block, as an (m, t_max + 1)
     array.  phi is a (2, m, N) buffer whose row 0 holds the block's initial
     states on entry; it is overwritten.  tables are _stacked_phases', whose
-    weights are (2, 1, N) or have at least m rows, of which m are used.
+    weights have at least m rows, of which the first m are used.
 
     Both branches of every state advance together in place, k in row 0 and
     k' in row 1: per step, the output permutation (a take into a scratch
@@ -171,7 +180,7 @@ def le_curve(psi0: np.ndarray, space: SpaceDescriptor, params: MapParams,
     """
     if psi0.shape != (space.N,):
         raise ValueError(f"state shape {psi0.shape} != ({space.N},), the space dimension")
-    tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
+    tables = _stacked_phases(space, params, sigma_over_hbar, t_max, 1)
     phi = np.empty((2, 1, space.N), dtype=np.complex128)
     phi[0, 0] = psi0
     return Curve(_echo_values(phi, tables, t_max)[0])
@@ -216,12 +225,9 @@ def averaged_le(space: SpaceDescriptor, params: MapParams, sigma_over_hbar: floa
     """
     _check_integer("n_states", n_states, 1)
     workers = thread_count(n_states, workers)
-    tables = _stacked_phases(space, params, sigma_over_hbar, t_max)
-    centers = ensemble_centers(seed, n_states)
     block = max(1, min(_BLOCK_VALUES // (workers * space.N), -(-n_states // workers)))
-    if block > 1:  # one table of the block's shape for all chunks: the step's
-        # multiply then takes numpy's contiguous loop, not a broadcast one
-        tables = (np.repeat(tables[0], block, axis=1),) + tables[1:]
+    tables = _stacked_phases(space, params, sigma_over_hbar, t_max, block)
+    centers = ensemble_centers(seed, n_states)
 
     def advance(part, lo, hi, sync):
         return _chunk_values(space, centers[lo:hi], tables, t_max, block, sync)

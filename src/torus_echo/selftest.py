@@ -1,5 +1,6 @@
 """Small-N oracle suite: every fast path checked against a brute-force
-construction.  Used by the CLI selftest mode and mirrored in the test suite.
+construction.  run_selftest, the CLI selftest mode, prints one PASS or FAIL
+line per check; the test suite runs each check too.
 
 The brute-force oracles live here and nowhere in the runtime modules: dense
 Weyl translations (translate, translation_matrix), the dense propagator
@@ -8,15 +9,17 @@ literal Lorentz image sum (lorentz_kernel_direct), the Lorentz build over
 every image row (lorentz_kernel_full_band) and over every quadrature node,
 its small-t tail included (lorentz_kernel_all_nodes), the coherent state
 summed over every lattice image (coherent_state_all_images), the one-state,
-two-FFT echo loop (echo_values_direct), the identity channel
-(identity_kernel), and the classical map (classical_step) with the Benettin
-estimate of its Lyapunov exponent (lyapunov_numeric).  The echo step's
-one-DFT kinetic half, read back as a state (kinetic_half_factorized), is
-checked against ifft(K * fft(f)), and its closed-form chirps against
-ifft(K).  At k = 0 the chord orbit (chord_orbit_purity) gives purity_curve's
-values at production N.  The step's two-pass kernel spectrum is checked
-through decoherence.chord_multiplier, one rfft2 call, which the double sum
-checks in turn.
+two-FFT echo loop (echo_values_direct) and its ensemble mean over two
+Propagators built here, not by the echo's set-up (direct_averaged_le), the
+identity channel (identity_kernel), and the classical map (classical_step)
+with the Benettin estimate of its Lyapunov exponent (lyapunov_numeric).
+The echo step's one-DFT kinetic half, read back as a state
+(kinetic_half_factorized), is checked against ifft(K * fft(f)), and its
+closed-form chirps against ifft(K).  At k = 0 the chord orbit
+(chord_orbit_purity) gives purity_curve's values at production N.  The
+step's two-pass kernel spectrum is checked through
+decoherence.chord_multiplier, one rfft2 call, which the double sum checks
+in turn.
 """
 
 import numpy as np
@@ -47,8 +50,8 @@ from .dynamics import (
     lyapunov_closed_form,
     run_parts,
 )
-from .echo import (_echo_values, _kinetic_cosets, _propagator_pair, _step_tables, averaged_le,
-                   ensemble_centers, le_curve)
+from .echo import (_echo_values, _kinetic_cosets, _step_tables, averaged_le, ensemble_centers,
+                   le_curve)
 from .hilbert import (COHERENT_IMAGE_RANGE, SpaceDescriptor, chord_to_rho, coherent_state,
                       cyclic_diagonals, make_space, purity, rho_to_chord, squared_row_norms)
 from .rng import substream
@@ -201,8 +204,10 @@ def echo_values_direct(psi0: np.ndarray, prop: Propagator, prop_pert: Propagator
 
 def direct_averaged_le(space, params, sigma_over_hbar, t_max, n_states, seed):
     """averaged_le's mean, one echo_values_direct curve per state, summed in
-    state order."""
-    prop, prop_pert = _propagator_pair(space, params, sigma_over_hbar, t_max)
+    state order, from its own (k, k') Propagators."""
+    prop = build_propagator(space, params)
+    prop_pert = build_propagator(
+        space, MapParams(params.a, params.b, params.k + sigma_over_hbar * space.hbar))
     acc = np.zeros(t_max + 1)
     for q0, p0 in ensemble_centers(seed, n_states):
         acc += echo_values_direct(coherent_state(space, q0, p0), prop, prop_pert, t_max)
@@ -224,7 +229,7 @@ def kinetic_half_factorized(f: np.ndarray, b: int) -> np.ndarray:
     one step of echo._echo_values, and its stored DFT output read back as
     the state, the out-chirp times Y[..., perm] in class layout."""
     N = len(f)
-    tables = _step_tables(np.ones((2, N), dtype=complex), b)
+    tables = _step_tables(np.ones((2, N), dtype=complex), b, 1)
     entry, perm = tables[1:]
     phi = np.empty((2, 1, N), dtype=complex)
     phi[0, 0] = f
@@ -594,14 +599,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_selftest(verbose=True):
-    """Run every oracle check; returns True iff all pass."""
+def run_selftest():
+    """Run every oracle check, printing a PASS or FAIL line for each; returns
+    True iff all pass."""
     all_ok = True
     for name, fn in ALL_CHECKS:
         err, tol = fn()
         ok = err < tol
         all_ok = all_ok and ok
-        if verbose:
-            status = "PASS" if ok else "FAIL"
-            print(f"[{status}] {name:<28} err={err:.3e}  tol={tol:.0e}")
+        status = "PASS" if ok else "FAIL"
+        print(f"[{status}] {name:<28} err={err:.3e}  tol={tol:.0e}")
     return all_ok

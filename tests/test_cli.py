@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import torus_echo.analysis
+from torus_echo import selftest
 from torus_echo.analysis import gdm_rate_prediction
 from torus_echo.cli import (
     EXIT_CONFIG,
@@ -478,10 +479,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_selftest_reads_no_config(self, capsys):
-        # a missing file or a bad key is not an error, since neither is read
-        assert main(["selftest", "--config", "/nonexistent/conf", "--set", "N=bogus"]) == EXIT_OK
-        assert "FAIL" not in capsys.readouterr().out
+    def test_selftest_reads_no_config(self, monkeypatch, capsys):
+        # a missing file or a bad key is not an error, since neither is read;
+        # a failing check exits as a runtime error
+        argv = ["selftest", "--config", "/nonexistent/conf", "--set", "N=bogus"]
+        passing, failing = ("passing", lambda: (0.5, 1.0)), ("failing", lambda: (1.0, 1.0))
+        monkeypatch.setattr(selftest, "ALL_CHECKS", [passing])
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(selftest, "ALL_CHECKS", [passing, failing])
+        assert main(argv) == EXIT_RUNTIME
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out] == ["[PASS]", "[PASS]", "[FAIL]"]
 
     def test_selftest_is_no_config_mode(self):
         with pytest.raises(ConfigError, match="key 'mode' must be one of"):

@@ -313,6 +313,20 @@ def test_only_dynamics_starts_threads():
     assert importing == ["dynamics.py"]
 
 
+def test_cli_names_no_private_name_of_the_step_modules():
+    # each step's set-up and memory charge (echo.working_set,
+    # decoherence.working_set) live in the module that allocates its buffers:
+    # the CLI reaches echo and decoherence through their public names only
+    tree = ast.parse((Path(dynamics.__file__).parent / "cli.py").read_text())
+    steps = ("echo", "decoherence")
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] in steps
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) in steps and node.attr.startswith("_")]
+    assert private == []
+
+
 BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "linalg"}
 
 

@@ -7,10 +7,9 @@ import pytest
 
 import torus_echo.dynamics as dynamics
 import torus_echo.echo as echo
-from torus_echo.dynamics import MapParams
+from torus_echo.dynamics import MapParams, build_propagator
 from torus_echo.echo import (
     _echo_values,
-    _propagator_pair,
     _stacked_phases,
     averaged_le,
     default_echo_t_max,
@@ -34,7 +33,8 @@ class TestPerturbation:
     def test_paper_configuration_mapping(self):
         # Sigma/hbar = 0.65884 at N = 2^20 corresponds to sigma = 1.0e-7
         space = make_space(2**20)
-        prop, prop_pert = _propagator_pair(space, MapParams(2, 2, 0.0002), 0.65884, 1)
+        prop = build_propagator(space, MapParams(2, 2, 0.0002))
+        prop_pert = build_propagator(space, MapParams(2, 2, 0.0002 + 0.65884 * space.hbar))
         sigma = prop_pert.params.k - prop.params.k
         assert sigma == pytest.approx(1.0e-7, rel=1e-4)
         assert sigma / space.hbar == pytest.approx(0.65884, rel=1e-12)
@@ -118,11 +118,7 @@ class TestAveragedLe:
         params = MapParams(2, 2, 0.0002)
         n = 5
         avg = averaged_le(space, params, 2.5, 8, n_states=n, seed=7)
-        prop, prop_pert = _propagator_pair(space, params, 2.5, 8)
-        acc = np.zeros(9)
-        for q0, p0 in ensemble_centers(7, n):
-            acc += echo_values_direct(coherent_state(space, q0, p0), prop, prop_pert, 8)
-        assert np.max(np.abs(avg.values - acc / n)) < 1e-12
+        assert np.max(np.abs(avg.values - direct_averaged_le(space, params, 2.5, 8, n, 7))) < 1e-12
 
     def test_propagator_pair_built_once(self, monkeypatch):
         import torus_echo.echo as echo
@@ -155,9 +151,10 @@ class TestBlockKernel:
         got = le_curve(psi, space, params, 3.0, 15).values
         phi = np.empty((2, 2, N), dtype=complex)
         phi[0] = psi, coherent_state(space, 0.1, 0.8)
-        assert np.array_equal(got, _echo_values(phi, _stacked_phases(space, params, 3.0, 15),
+        assert np.array_equal(got, _echo_values(phi, _stacked_phases(space, params, 3.0, 15, 2),
                                                 15)[0])
-        prop, prop_pert = _propagator_pair(space, params, 3.0, 15)
+        prop = build_propagator(space, params)
+        prop_pert = build_propagator(space, MapParams(2, 4, 0.001 + 3.0 * space.hbar))
         assert np.max(np.abs(got - echo_values_direct(psi, prop, prop_pert, 15))) <= 1e-13
 
     def test_zero_sigma_stays_at_one_across_blocks(self):
@@ -314,7 +311,7 @@ class TestMemory:
     @pytest.mark.parametrize("N", [2**15, 2**16])
     def test_one_state_blocks_within_the_cli_charge(self, N, workers):
         # one state per block, so one (2, 1, N) weights table: within
-        # cli._check_memory's 4 + 9w complex vectors
+        # echo.working_set's 4 + 9w complex vectors
         assert self.peak_bytes(N, workers, workers) <= 16 * N * (4 + 9 * workers)
 
     @pytest.mark.parametrize("workers", [1, 2])

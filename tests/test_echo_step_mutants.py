@@ -20,7 +20,7 @@ MUTANTS = {
     "gamma forced to 1": ("_kinetic_cosets", "gamma = pow(b1, -1, M)", "gamma = 1"),
     "r0 dropped": ("_kinetic_cosets", "return g, g // 2 * eps,", "return g, 0,"),
     "out-chirp left out of the weights": (
-        "_step_tables", "weights *= out_chirp", "pass"),
+        "_step_tables", "weights[:, 0] *= out_chirp", "pass"),
     "permutation skipped": ("_echo_values", 'np.take(phi, perm, axis=-1, out=source, mode="clip")',
                             "source[...] = phi"),
     "DFT left orthonormal": ("_echo_values", "np.fft.fft(layout, out=layout)",
